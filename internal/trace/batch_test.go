@@ -139,9 +139,9 @@ func TestBatchMatchesScalarSpilled(t *testing.T) {
 }
 
 // TestBatchMultiEvalMixed drives MultiEval with batch and scalar consumers
-// in the same configuration set (the vpserve sweep shape: vpsim engines are
-// batch kernels, ILP machines scalar): every consumer must still observe
-// exactly its own ReplayDirs/Replay stream.
+// in the same configuration set (scalar-only consumers such as trace
+// writers share walks with batch kernels): every consumer must still
+// observe exactly its own ReplayDirs/Replay stream.
 func TestBatchMultiEvalMixed(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	rc := NewRecorder()

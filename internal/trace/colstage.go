@@ -54,8 +54,9 @@ type RecordColumns struct {
 // Cap returns the stage's record capacity.
 func (st *RecordColumns) Cap() int { return len(st.Op) }
 
-// packRead packs one source-operand read into the codec's byte layout.
-func packRead(rd RegRead) byte {
+// PackRead packs one source-operand read into the codec's byte layout (the
+// Batch.Reads encoding); an invalid read packs to 0.
+func PackRead(rd RegRead) byte {
 	var b byte
 	if rd.Valid {
 		b = 0x80 | byte(rd.Reg)&0x3f
@@ -66,28 +67,34 @@ func packRead(rd RegRead) byte {
 	return b
 }
 
+// PackFlags packs r's boolean fields (the Flag* bits of Batch.Flags) and,
+// in bits 4-5, its directive into the codec's flags byte.
+func PackFlags(r *Record) byte {
+	f := byte(r.Dir) << 4
+	if r.HasDest {
+		f |= FlagHasDest
+	}
+	if r.DestFP {
+		f |= FlagDestFP
+	}
+	if r.Taken {
+		f |= FlagTaken
+	}
+	if r.HasMem {
+		f |= FlagHasMem
+	}
+	return f
+}
+
 // appendRecord destructures r into the columns — the scalar producer's entry
 // into column staging, packing exactly what chunkEncoder.encode would.
 func (st *RecordColumns) appendRecord(r *Record) {
 	i := st.N
 	st.Op[i] = byte(r.Op)
-	f := byte(r.Dir) << 4
-	if r.HasDest {
-		f |= 1
-	}
-	if r.DestFP {
-		f |= 2
-	}
-	if r.Taken {
-		f |= 4
-	}
-	if r.HasMem {
-		f |= 8
-	}
-	st.Flags[i] = f
+	st.Flags[i] = PackFlags(r)
 	st.Dest[i] = byte(r.Dest)
-	st.Reads[2*i] = packRead(r.Reads[0])
-	st.Reads[2*i+1] = packRead(r.Reads[1])
+	st.Reads[2*i] = PackRead(r.Reads[0])
+	st.Reads[2*i+1] = PackRead(r.Reads[1])
 	st.Addr[i] = r.Addr
 	st.Value[i] = r.Value
 	st.Mem[i] = r.MemAddr

@@ -1,6 +1,11 @@
 package trace
 
-import "repro/internal/isa"
+import (
+	"runtime"
+	"sync"
+
+	"repro/internal/isa"
+)
 
 // This file implements single-pass multi-configuration trace evaluation.
 // The Section 5 experiment drivers sweep one recorded trace across many
@@ -32,20 +37,20 @@ type EvalConfig struct {
 // negative) — the quantity the vpserve trace_replay_passes_saved metric
 // accumulates.
 //
-// The walk is chunk-tiled: each columnar chunk is decoded ONCE into a
-// pass-local scratch slab (≈0.9 MiB of Records, comfortably cache-resident)
-// and then run through every configuration's tight per-consumer loop before
-// the walk advances, so the decode cost amortizes over all configurations
-// and configurations 2..N read the slab from cache instead of re-streaming
-// (or re-decoding) the multi-megabyte buffer. The hot loop stays identical
-// to Replay's (no per-record multi-config dispatch), and every consumer
+// The walk is chunk-tiled: each columnar chunk is decoded once and then run
+// through every configuration's tight per-consumer loop before the walk
+// advances, so the decode cost amortizes over all configurations and
+// configurations 2..N read the decoded chunk from cache instead of
+// re-streaming (or re-decoding) the multi-megabyte buffer. Every consumer
 // still observes exactly the record sequence its own ReplayDirs/Replay call
 // would have produced — configurations share nothing, so the tiling
-// granularity is unobservable.
+// granularity is unobservable. For the same reason batch-kernel
+// configurations are evaluated in parallel lanes on multi-core machines
+// (see multiEvalBatch) without changing any result.
 //
-// Directive patching writes to a per-call scratch record, never to the
-// decoded slab, so concurrent MultiEval/Replay calls on one sealed Recorder
-// are safe. Consumers receive records under the standard read-only,
+// Directive patching writes to per-call scratch, never to the recorded
+// chunks, so concurrent MultiEval/Replay calls on one sealed Recorder are
+// safe. Consumers receive records under the standard read-only,
 // duration-of-the-call contract.
 func (rc *Recorder) MultiEval(cfgs ...EvalConfig) int64 {
 	if len(cfgs) == 0 {
@@ -61,7 +66,7 @@ func (rc *Recorder) MultiEval(cfgs ...EvalConfig) int64 {
 		}
 	}
 	if nbatch > 0 && !rc.scalarReplay {
-		rc.multiEvalBatch(cfgs, nbatch < len(cfgs))
+		rc.multiEvalBatch(cfgs)
 	} else {
 		var scratch Record
 		rc.walkSlabs(func(chunk []Record) { evalRecords(cfgs, chunk, &scratch) })
@@ -98,46 +103,127 @@ func evalRecords(cfgs []EvalConfig, chunk []Record, scratch *Record) {
 	}
 }
 
-// multiEvalBatch is the column-batch MultiEval walk: each chunk is decoded
-// once into a Batch, every batch-capable configuration runs its kernel over
-// the columns (directive-carrying configurations see a per-call patched Dir
-// column; the recorded Dir column is restored afterwards), and — only when
-// the configuration set is mixed — the batch is materialized once per chunk
-// into a pooled Record slab for the scalar consumers, which then run the
-// exact reference loop. Both consumer kinds still observe bit-identical
-// streams in a single pass over the encoded trace.
-func (rc *Recorder) multiEvalBatch(cfgs []EvalConfig, mixed bool) {
-	var slab *recSlab
-	if mixed {
-		slab = getSlab()
-		defer putSlab(slab)
+// multiEvalBatch is the column-batch MultiEval walk. Each chunk is decoded
+// once into a Batch, and the configurations, dealt round-robin into
+// min(GOMAXPROCS, len(cfgs)) lanes, evaluate it: lane 0 on the walking
+// goroutine, the others on goroutines of their own that receive the same
+// read-only batch, so the kernels of one chunk run in parallel while the
+// decode-ahead lanes (walkPipe) decode the next. The walk waits for every
+// lane before advancing, since the batch is recycled when it returns. At
+// one proc there is one lane and no goroutine. The split is unobservable
+// because configurations share nothing (see EvalConfig): each is run by
+// exactly one lane, over the same batch sequence. A consumer panic stops
+// the walk once every lane has finished the batch, and is re-raised on the
+// caller.
+func (rc *Recorder) multiEvalBatch(cfgs []EvalConfig) {
+	lanes := make([]*evalLane, min(runtime.GOMAXPROCS(0), len(cfgs)))
+	for k := range lanes {
+		lanes[k] = &evalLane{}
 	}
-	var dirScratch []isa.Directive
-	var scratch Record
-	rc.walkBatches(func(b *Batch) {
-		recorded := b.Dir
-		var recs []Record
-		if mixed {
-			recs = b.Records(slab.recs)
+	for i, cfg := range cfgs {
+		l := lanes[i%len(lanes)]
+		l.cfgs = append(l.cfgs, cfg)
+		if _, ok := cfg.Consumer.(BatchConsumer); !ok && l.slab == nil {
+			l.slab = getSlab()
 		}
-		for j := range cfgs {
-			cfg := &cfgs[j]
-			if bc, ok := cfg.Consumer.(BatchConsumer); ok {
-				if cfg.Dirs == nil {
-					b.Dir = recorded
-				} else {
-					if cap(dirScratch) < b.N {
-						dirScratch = make([]isa.Directive, b.N)
-					}
-					dirScratch = dirScratch[:b.N]
-					patchDirs(dirScratch, b.Addr, cfg.Dirs)
-					b.Dir = dirScratch
-				}
-				bc.ConsumeBatch(b)
-				continue
+	}
+	defer func() {
+		for _, l := range lanes {
+			if l.slab != nil {
+				putSlab(l.slab)
 			}
-			evalRecords(cfgs[j:j+1], recs, &scratch)
 		}
-		b.Dir = recorded
+	}()
+	if len(lanes) == 1 || len(rc.chunks) == 0 {
+		rc.walkBatches(lanes[0].eval)
+		return
+	}
+
+	var wg sync.WaitGroup
+	others := lanes[1:]
+	for _, l := range others {
+		l.in, l.done = make(chan *Batch), make(chan struct{})
+		wg.Add(1)
+		go func(l *evalLane) {
+			defer wg.Done()
+			for b := range l.in {
+				l.failure = l.tryEval(b)
+				l.done <- struct{}{}
+			}
+		}(l)
+	}
+	defer func() {
+		for _, l := range others {
+			close(l.in)
+		}
+		wg.Wait()
+	}()
+	rc.walkBatches(func(b *Batch) {
+		for _, l := range others {
+			l.in <- b
+		}
+		// Every lane finishes with b before anything is raised: the batch
+		// goes back to the decode pool when this function returns.
+		lanes[0].failure = lanes[0].tryEval(b)
+		for _, l := range others {
+			<-l.done
+		}
+		for _, l := range lanes {
+			if l.failure != nil {
+				panic(l.failure)
+			}
+		}
 	})
+}
+
+// evalLane is one lane's share of a MultiEval pass and its private scratch.
+type evalLane struct {
+	cfgs    []EvalConfig
+	slab    *recSlab // materialized records for scalar consumers; nil when all are batch kernels
+	view    Batch    // the lane's view of the shared batch, with its own Dir column
+	dirs    []isa.Directive
+	scratch Record
+
+	in      chan *Batch
+	done    chan struct{}
+	failure any // recovered consumer panic
+}
+
+// eval runs one shared batch through the lane's configurations: batch
+// kernels over the columns (directive-carrying configurations see the
+// lane's patched Dir column), scalar consumers through the reference loop
+// over the batch materialized once into the lane's slab. The shared batch
+// itself is only read.
+func (l *evalLane) eval(shared *Batch) {
+	b := &l.view
+	*b = *shared
+	var recs []Record
+	if l.slab != nil {
+		recs = b.Records(l.slab.recs)
+	}
+	for j := range l.cfgs {
+		cfg := &l.cfgs[j]
+		bc, ok := cfg.Consumer.(BatchConsumer)
+		if !ok {
+			evalRecords(l.cfgs[j:j+1], recs, &l.scratch)
+			continue
+		}
+		b.Dir = shared.Dir
+		if cfg.Dirs != nil {
+			if cap(l.dirs) < b.N {
+				l.dirs = make([]isa.Directive, b.N)
+			}
+			l.dirs = l.dirs[:b.N]
+			patchDirs(l.dirs, b.Addr, cfg.Dirs)
+			b.Dir = l.dirs
+		}
+		bc.ConsumeBatch(b)
+	}
+}
+
+// tryEval is eval with a consumer panic returned instead of raised.
+func (l *evalLane) tryEval(b *Batch) (failure any) {
+	defer func() { failure = recover() }()
+	l.eval(b)
+	return nil
 }

@@ -49,7 +49,9 @@ type rchunk struct {
 }
 
 // Recorder is a Consumer that captures the stream for later replay.
-// Recording is single-threaded (one producer), but a finished Recorder is
+// Recording is single-threaded (one producer; until Seal the storage
+// accessors and replays belong to the recording goroutine too, and report
+// exactly what the sequential path would), but a finished Recorder is
 // immutable and Replay/ReplayDirs/MultiEval may be called concurrently from
 // multiple goroutines. Owners that share a Recorder across goroutines (the
 // experiments context, the vpserve trace cache) must Seal it first: sealing
@@ -76,13 +78,15 @@ type Recorder struct {
 	chunksEncoded int64
 	spill         *spillFile
 
-	// mu guards the encoded-chunk state above (chunks through spill) while
-	// the encode-ahead pipeline is live: appendEncoded runs on the encoder
-	// goroutine, the accessors on the recording thread. Once sealed (or on
-	// the sequential path) everything is synchronous and immutable.
-	mu sync.Mutex
-
+	// While the encode-ahead pipeline is live, appendEncoded writes the
+	// encoded-chunk state above (chunks through spill) on the encoder
+	// goroutine. Every reader of that state — the accessors, replays,
+	// SetMemBudget and Seal — first drains the pipeline (drainEncode), so
+	// it observes every flushed chunk and the drain's channel round trip
+	// orders the encoder's writes before the read. Once sealed (or on the
+	// sequential path) everything is synchronous and immutable.
 	ahead       *encodeAhead // background chunk encoder; nil on the sequential path
+	inflight    bool         // stages submitted to ahead since the last drain
 	aheadOff    bool         // pipeline decision made: encode inline
 	stalls      atomic.Int64 // flushes that blocked waiting for a free stage
 	encodeNanos atomic.Int64 // cumulative chunk-encode wall time
@@ -100,9 +104,13 @@ func NewRecorder() *Recorder { return &Recorder{} }
 // memory; chunks encoded past the budget spill to a temporary file (deleted
 // on creation, so it can never outlive the process) and stream back during
 // replay. A budget ≤ 0 keeps everything resident. The budget governs chunks
-// encoded after the call, so set it before recording; the ~0.9 MiB staging
-// buffer for the chunk being filled is not counted against it.
-func (rc *Recorder) SetMemBudget(bytes int64) { rc.memBudget = bytes }
+// flushed after the call (chunks already flushed are encoded under the old
+// one first), so set it before recording; the ~0.9 MiB staging buffer for
+// the chunk being filled is not counted against it.
+func (rc *Recorder) SetMemBudget(bytes int64) {
+	rc.drainEncode()
+	rc.memBudget = bytes
+}
 
 // SetScalarReplay forces every replay pass onto the scalar per-record
 // Consumer path even for consumers that implement BatchConsumer. The batch
@@ -125,8 +133,7 @@ func (rc *Recorder) SetScalarRecord(scalar bool) { rc.scalarRecord = scalar }
 // ChunksEncoded reports how many chunks have been encoded so far (resident
 // or spilled), the unit of the record-side observability metrics.
 func (rc *Recorder) ChunksEncoded() int64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
+	rc.drainEncode()
 	return rc.chunksEncoded
 }
 
@@ -163,8 +170,7 @@ func (rc *Recorder) Len() int64 { return rc.nFlushed + int64(rc.stagedLen()) }
 // trace: the encoded chunks still held in memory plus the staging buffer.
 // Spilled chunks do not count.
 func (rc *Recorder) Bytes() int64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
+	rc.drainEncode()
 	return rc.residentBytes + int64(rc.stagedLen())*recordMemBytes
 }
 
@@ -172,15 +178,13 @@ func (rc *Recorder) Bytes() int64 {
 // resident and spilled. Records still in the staging buffer (at most one
 // partial chunk; none once sealed) are not yet encoded.
 func (rc *Recorder) EncodedBytes() int64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
+	rc.drainEncode()
 	return rc.encodedBytes
 }
 
 // BytesResident returns the encoded bytes currently held in memory.
 func (rc *Recorder) BytesResident() int64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
+	rc.drainEncode()
 	return rc.residentBytes
 }
 
@@ -191,8 +195,7 @@ func (rc *Recorder) BytesResident() int64 {
 // honest per-pass memory figure for a spilled trace, where BytesResident
 // alone would report a misleading zero.
 func (rc *Recorder) ReplayResidentBytes() int64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
+	rc.drainEncode()
 	b := rc.residentBytes
 	if rc.spilledChunks > 0 {
 		b += 2 * rc.maxChunkBytes
@@ -202,8 +205,7 @@ func (rc *Recorder) ReplayResidentBytes() int64 {
 
 // SpilledChunks returns how many chunks were written to the spill file.
 func (rc *Recorder) SpilledChunks() int64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
+	rc.drainEncode()
 	return rc.spilledChunks
 }
 
@@ -336,6 +338,7 @@ func (rc *Recorder) FlushColumns() *RecordColumns {
 	rc.nFlushed += int64(st.N)
 	if rc.pipeline() {
 		rc.ahead.submit(st)
+		rc.inflight = true
 		st = rc.ahead.acquire(rc)
 		rc.cols = st
 	} else {
@@ -388,11 +391,14 @@ func (rc *Recorder) encodeStage(enc *chunkEncoder, st *RecordColumns) {
 }
 
 // drainEncode blocks until every stage handed to the encode-ahead pipeline
-// has been encoded, so an unsealed replay (or the seal itself) observes all
-// flushed chunks. No-op on the sequential path.
+// has been encoded, so an unsealed replay or accessor observes all flushed
+// chunks exactly as the sequential path would. No-op on the sequential path,
+// after Seal, and when nothing was submitted since the last drain. Like
+// recording itself it runs on the recording goroutine.
 func (rc *Recorder) drainEncode() {
-	if rc.ahead != nil {
+	if rc.ahead != nil && rc.inflight {
 		rc.ahead.drain()
+		rc.inflight = false
 	}
 }
 
@@ -417,12 +423,9 @@ func (rc *Recorder) flushStaged() {
 
 // appendEncoded retains one encoded chunk resident — or spills it when past
 // the memory budget — and appends it to the chunk index. Called inline or
-// from the encode-ahead goroutine, always in stream order; mu makes the
-// bookkeeping safe against concurrent accessor reads while the pipeline is
-// live.
+// from the encode-ahead goroutine, always in stream order; readers drain
+// the pipeline before looking (see drainEncode).
 func (rc *Recorder) appendEncoded(data []byte, n int) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
 	c := rchunk{size: int32(len(data)), n: int32(n)}
 	rc.encodedBytes += int64(len(data))
 	if int64(len(data)) > rc.maxChunkBytes {

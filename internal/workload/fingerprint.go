@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync"
 
 	"repro/internal/program"
 )
@@ -35,22 +34,10 @@ func BenchKey(name string, in Input) string {
 	return fmt.Sprintf("bench/%s/%s", name, in)
 }
 
-// fpCache memoizes content fingerprints per built image: hashing a large
-// image is not free, and the server computes the same fingerprint on every
-// request that names a benchmark.
-var fpCache sync.Map // *program.Program → string
-
-// FingerprintOf is Fingerprint memoized by image identity. It must only be
-// used with shared, immutable images (anything Build returns or the server
-// registry holds).
+// FingerprintOf is Fingerprint memoized by image identity, in the same
+// bounded cache as Build's images (an evicted image is simply hashed
+// again). It must only be used with shared, immutable images (anything
+// Build returns or the server registry holds).
 func FingerprintOf(p *program.Program) (string, error) {
-	if fp, ok := fpCache.Load(p); ok {
-		return fp.(string), nil
-	}
-	fp, err := Fingerprint(p)
-	if err != nil {
-		return "", err
-	}
-	fpCache.Store(p, fp)
-	return fp, nil
+	return images.entry(p).fingerprint()
 }

@@ -20,7 +20,6 @@ package workload
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/asm"
 	"repro/internal/program"
@@ -119,22 +118,21 @@ func AllNames() []string {
 	return out
 }
 
-// progCache memoizes assembled images: workload generation is deterministic
-// in (name, input), and the experiment drivers run the same program under
-// many predictor configurations.
-var progCache sync.Map // key progKey → *program.Program
-
+// progKey is the memoization key of a built image: workload generation is
+// deterministic in (name, input), and the experiment drivers run the same
+// program under many predictor configurations.
 type progKey struct {
 	name  string
 	input Input
 }
 
-// Build generates and assembles the named benchmark for an input. The
-// returned image is shared and must not be mutated; annotation clones it.
+// Build generates and assembles the named benchmark for an input. Images
+// are memoized in a bounded cache (see imageCacheCap). The returned image is
+// shared and must not be mutated; annotation clones it.
 func Build(name string, in Input) (*program.Program, error) {
 	key := progKey{name, Input{Seed: in.Seed, Scale: in.scale()}}
-	if p, ok := progCache.Load(key); ok {
-		return p.(*program.Program), nil
+	if p, ok := images.lookup(key); ok {
+		return p, nil
 	}
 	s, ok := ByName(name)
 	if !ok {
@@ -144,8 +142,7 @@ func Build(name string, in Input) (*program.Program, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload: assemble %s: %w", name, err)
 	}
-	progCache.Store(key, p)
-	return p, nil
+	return images.add(key, p), nil
 }
 
 // Run executes a program image to completion, feeding the trace to the

@@ -1,9 +1,11 @@
 package workload
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/profiler"
+	"repro/internal/program"
 	"repro/internal/trace"
 )
 
@@ -134,6 +136,85 @@ func TestFPWorkloadsUsePhases(t *testing.T) {
 		}
 		if !spec.FP && phases[1] {
 			t.Errorf("%s: integer benchmark unexpectedly uses phase 1", name)
+		}
+	}
+}
+
+// TestImageCacheBounded builds far more fresh images than the cache holds:
+// the cache must stay at its cap, and an evicted key must rebuild to an
+// image with the same content fingerprint.
+func TestImageCacheBounded(t *testing.T) {
+	first := Input{Seed: 0xCAC4E_0000}
+	p0, err := Build("m88ksim", first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp0, err := FingerprintOf(p0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(1); i <= 1000; i++ {
+		p, err := Build("m88ksim", Input{Seed: first.Seed + i})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := FingerprintOf(p); err != nil {
+			t.Fatal(err)
+		}
+		if n := images.len(); n > imageCacheCap {
+			t.Fatalf("after %d fresh builds the image cache holds %d entries, cap %d", i, n, imageCacheCap)
+		}
+	}
+	if n := images.len(); n != imageCacheCap {
+		t.Errorf("image cache holds %d entries after 1000 fresh builds, want its cap %d", n, imageCacheCap)
+	}
+	p1, err := Build("m88ksim", first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p1 == p0 {
+		t.Fatal("evicted image was not rebuilt")
+	}
+	fp1, err := FingerprintOf(p1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fp1 != fp0 {
+		t.Errorf("rebuilt image fingerprint %s, want %s", fp1, fp0)
+	}
+}
+
+// TestImageCacheConcurrent builds and fingerprints overlapping keys from
+// several goroutines: every caller must get the one cached image per key
+// and agree on its fingerprint.
+func TestImageCacheConcurrent(t *testing.T) {
+	const goroutines, keys = 8, 16
+	progs := make([][keys]*program.Program, goroutines)
+	fps := make([][keys]string, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < keys; k++ {
+				p, err := Build("m88ksim", Input{Seed: 0xC0C0_0000 + uint64(k)})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				fp, err := FingerprintOf(p)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				progs[g][k], fps[g][k] = p, fp
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g := 1; g < goroutines; g++ {
+		if progs[g] != progs[0] || fps[g] != fps[0] {
+			t.Fatalf("goroutine %d saw different images or fingerprints than goroutine 0", g)
 		}
 	}
 }
