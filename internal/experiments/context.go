@@ -61,22 +61,6 @@ type Context struct {
 	// resident. Replay results are bit-identical either way — the budget
 	// trades replay bandwidth for memory, never accuracy.
 	TraceMemBudget int64
-	// ScalarReplay forces every replay of the recorded evaluation traces
-	// onto the scalar per-record Consumer path instead of the default
-	// batch column kernels. Results are bit-identical either way (the
-	// batch kernels are differentially tested against the scalar
-	// reference); the switch exists as a debugging escape hatch and for
-	// the equivalence assertions themselves. Exposed as vpreport
-	// -scalar-replay.
-	ScalarReplay bool
-	// ScalarRecord forces every recording run (the evaluation traces and
-	// the training profile passes) onto the scalar per-record VM loop
-	// instead of the default fused execute+encode column path. The traces
-	// and profiles are bit-identical either way — the fused path is
-	// differentially tested against this reference; the switch exists for
-	// those assertions and as a debugging escape hatch. Exposed as
-	// vpreport/vpserve -scalar-record.
-	ScalarRecord bool
 
 	mu         sync.Mutex
 	trainCache map[string]*cell[[]*profiler.Image]
@@ -143,11 +127,7 @@ func (c *Context) TrainImages(bench string) ([]*profiler.Image, error) {
 		ims := make([]*profiler.Image, len(inputs))
 		for i, in := range inputs {
 			col := profiler.NewCollector()
-			var sink trace.Consumer = col
-			if c.ScalarRecord {
-				sink = trace.ScalarOnly(col)
-			}
-			if _, err := workload.BuildAndRun(bench, in, sink); err != nil {
+			if _, err := workload.BuildAndRun(bench, in, col); err != nil {
 				return nil, fmt.Errorf("experiments: profile %s under %s: %w", bench, in, err)
 			}
 			ims[i] = col.Image(bench, in.String())
@@ -178,8 +158,6 @@ func (c *Context) EvalTrace(bench string) (*trace.Recorder, error) {
 	return memoize(&c.mu, c.traceCache, bench, func() (*trace.Recorder, error) {
 		rec := trace.NewRecorder()
 		rec.SetMemBudget(c.TraceMemBudget)
-		rec.SetScalarReplay(c.ScalarReplay)
-		rec.SetScalarRecord(c.ScalarRecord)
 		if _, err := workload.BuildAndRun(bench, workload.EvaluationInput(), rec); err != nil {
 			return nil, fmt.Errorf("experiments: record %s evaluation trace: %w", bench, err)
 		}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/classify"
@@ -11,49 +10,15 @@ import (
 	"repro/internal/workload"
 )
 
-// diffContext returns a Context sized for the differential tests: small
-// enough to run the full registry twice, with a two-point threshold sweep so
-// the sweep paths stay exercised.
+// diffContext returns a Context sized for the sweep tests: two training
+// inputs and a two-point threshold sweep, so the sweep paths stay exercised
+// cheaply.
 func diffContext(workers int) *Context {
 	c := NewContext()
 	c.NumTrainInputs = 2
 	c.Thresholds = []float64{90, 50}
 	c.Workers = workers
 	return c
-}
-
-// TestParallelRegistryDeterminism is the determinism contract of the fan-out
-// scheduler: the full registry (paper artifacts plus extensions) rendered
-// under -parallel 1 and under -parallel NumCPU must match byte-for-byte.
-// Fresh Contexts per leg keep the caches from hiding ordering effects.
-func TestParallelRegistryDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full registry twice")
-	}
-	runners := append(append([]Runner{}, Registry...), ExtRegistry...)
-	render := func(workers int) []string {
-		outs := RunAll(diffContext(workers), runners, workers)
-		texts := make([]string, len(outs))
-		for i, o := range outs {
-			if o.Err != nil {
-				t.Fatalf("workers=%d %s: %v", workers, o.Runner.ID, o.Err)
-			}
-			texts[i] = o.Result.Render()
-		}
-		return texts
-	}
-	par := runtime.NumCPU()
-	if par < 4 {
-		par = 4 // force real interleaving even on small machines
-	}
-	seq := render(1)
-	conc := render(par)
-	for i := range seq {
-		if seq[i] != conc[i] {
-			t.Errorf("%s renders differently under %d workers:\n--- sequential ---\n%s\n--- parallel ---\n%s",
-				runners[i].ID, par, seq[i], conc[i])
-		}
-	}
 }
 
 // TestSweepDriversSinglePass asserts the tentpole invariant directly: a

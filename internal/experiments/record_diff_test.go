@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
 	"testing"
 
@@ -10,26 +12,24 @@ import (
 	"repro/internal/workload"
 )
 
-// This file is the end-to-end record-path differential suite: the fused
-// execute+encode column path (the VM writing straight into staging columns,
-// chunk-seal batch encoding, the encode-ahead pipeline) must produce traces
-// byte-identical to the scalar per-record reference path (-scalar-record),
-// for every benchmark in the registry and both trace-file formats.
+// This file pins the record path: the fused execute+encode column loop must
+// write the trace the VM's per-record step loop writes, and one benchmark's
+// trace file must keep the exact bytes of the committed golden hash.
 
 // recordFile runs bench's evaluation input once with a trace-file Writer as
-// the sole consumer — the vprun -trace shape — and returns the file bytes.
-// scalar forces the per-record reference path; otherwise a v2 writer records
-// through the fused column stage.
-func recordFile(t *testing.T, bench string, format trace.Format, scalar bool) []byte {
+// the consumer — the vprun -trace shape — and returns the file bytes. A
+// Writer attached directly takes the fused column loop; perRecord wraps it
+// in a plain ConsumerFunc, which keeps the VM on its per-record step loop.
+func recordFile(t *testing.T, bench string, perRecord bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	tw, err := trace.NewWriterFormat(&buf, format)
+	tw, err := trace.NewWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sink trace.Consumer = tw
-	if scalar {
-		sink = trace.ScalarOnly(tw)
+	if perRecord {
+		sink = trace.ConsumerFunc(tw.Consume)
 	}
 	if _, err := workload.BuildAndRun(bench, workload.EvaluationInput(), sink); err != nil {
 		t.Fatal(err)
@@ -40,92 +40,42 @@ func recordFile(t *testing.T, bench string, format trace.Format, scalar bool) []
 	return buf.Bytes()
 }
 
-// TestFusedTraceFilesMatchScalarRecord byte-diffs fused against scalar-record
-// trace files across the full workload registry — the acceptance gate of the
-// record-path overhaul. Short mode keeps one benchmark per format; the CI
-// record-path job runs the full matrix.
+// TestFusedTraceFilesMatchScalarRecord byte-diffs fused against per-record
+// trace files across the full workload registry. Short mode keeps one
+// benchmark.
 func TestFusedTraceFilesMatchScalarRecord(t *testing.T) {
 	benches := workload.AllNames()
 	if testing.Short() {
 		benches = benches[:1]
 	}
 	for _, bench := range benches {
-		for _, format := range []trace.Format{trace.FormatV1, trace.FormatV2} {
-			fused := recordFile(t, bench, format, false)
-			scalar := recordFile(t, bench, format, true)
-			if !bytes.Equal(fused, scalar) {
-				t.Errorf("%s format %v: fused trace file differs from scalar-record (%d vs %d bytes)",
-					bench, format, len(fused), len(scalar))
-			}
+		fused := recordFile(t, bench, false)
+		perRecord := recordFile(t, bench, true)
+		if !bytes.Equal(fused, perRecord) {
+			t.Errorf("%s: fused trace file differs from the per-record loop's (%d vs %d bytes)",
+				bench, len(fused), len(perRecord))
 		}
 	}
 }
 
-// recordLive records bench's evaluation stream into a Recorder that is the
-// VM's sole consumer, so the fused column path engages (unless scalar or a
-// sealed recorder forces the reference loop).
-func recordLive(t *testing.T, bench string, configure func(*trace.Recorder)) *trace.Recorder {
-	t.Helper()
-	rc := trace.NewRecorder()
-	configure(rc)
-	if _, err := workload.BuildAndRun(bench, workload.EvaluationInput(), rc); err != nil {
-		t.Fatal(err)
-	}
-	rc.Seal()
-	t.Cleanup(func() { rc.Close() })
-	return rc
-}
+// goldenEvalTraceSHA256 is the SHA-256 of compress's VPTRC02 evaluation
+// trace file (420,583 records, 4,705,461 bytes). Any change to the VM's
+// record stream, the column encoder or the frame layout changes it; update
+// it only together with a deliberate format change.
+const goldenEvalTraceSHA256 = "ebc786f1352a3a889abefd8438bedc20eedcfe94d5b2e1a82c1399f8c26117a7"
 
-// TestFusedRecorderMatchesScalarRecordLive records the same benchmark through
-// the fused path (resident and fully spilled) and the scalar-record reference
-// and requires identical encoded sizes and byte-identical replayed trace
-// files. Workload execution is deterministic in (bench, input), so the three
-// runs observe the same instruction stream.
-func TestFusedRecorderMatchesScalarRecordLive(t *testing.T) {
-	const bench = "compress"
-	fused := recordLive(t, bench, func(rc *trace.Recorder) {})
-	scalar := recordLive(t, bench, func(rc *trace.Recorder) { rc.SetScalarRecord(true) })
-	spill := recordLive(t, bench, func(rc *trace.Recorder) { rc.SetMemBudget(1) })
-	if spill.SpilledChunks() == 0 {
-		t.Fatal("1-byte budget spilled nothing (spill path not exercised)")
-	}
-
-	if fused.Len() != scalar.Len() || fused.Len() != spill.Len() {
-		t.Fatalf("lengths differ: fused=%d scalar=%d spilled=%d", fused.Len(), scalar.Len(), spill.Len())
-	}
-	// Equal encoded size is the cheap whole-trace proxy for chunk-level byte
-	// identity (the trace package's differential tests pin the bytes
-	// themselves).
-	if fused.EncodedBytes() != scalar.EncodedBytes() || fused.EncodedBytes() != spill.EncodedBytes() {
-		t.Fatalf("encoded sizes differ: fused=%d scalar=%d spilled=%d",
-			fused.EncodedBytes(), scalar.EncodedBytes(), spill.EncodedBytes())
-	}
-
-	dump := func(rc *trace.Recorder) []byte {
-		var buf bytes.Buffer
-		tw, err := trace.NewWriter(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rc.Replay(tw)
-		if err := tw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	want := dump(scalar)
-	if !bytes.Equal(dump(fused), want) {
-		t.Error("fused recorder replays a different stream than scalar-record")
-	}
-	if !bytes.Equal(dump(spill), want) {
-		t.Error("spilled fused recorder replays a different stream than scalar-record")
+// TestEvalTraceFileGolden pins the on-disk format byte for byte.
+func TestEvalTraceFileGolden(t *testing.T) {
+	sum := sha256.Sum256(recordFile(t, "compress", false))
+	if got := hex.EncodeToString(sum[:]); got != goldenEvalTraceSHA256 {
+		t.Errorf("compress evaluation trace file SHA-256 = %s, want %s", got, goldenEvalTraceSHA256)
 	}
 }
 
 // TestFusedCollectorMatchesScalar checks the live-run ColumnSink adaptation:
 // a profiler collector fed by the fused VM loop (batches staged in columns)
-// must end up in exactly the state per-record delivery produces — the
-// profile phase's correctness gate for fused recording.
+// must end up in exactly the state per-record delivery through the step
+// loop produces — the profile phase's correctness gate for fused recording.
 func TestFusedCollectorMatchesScalar(t *testing.T) {
 	const bench = "compress"
 	in := workload.TrainingInputs(1)[0]
@@ -133,42 +83,10 @@ func TestFusedCollectorMatchesScalar(t *testing.T) {
 	if _, err := workload.BuildAndRun(bench, in, fused); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := workload.BuildAndRun(bench, in, trace.ScalarOnly(scalar)); err != nil {
+	if _, err := workload.BuildAndRun(bench, in, trace.ConsumerFunc(scalar.Consume)); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(collectorStats(fused.ForEach), collectorStats(scalar.ForEach)) {
-		t.Error("fused-fed profiler.Collector diverges from scalar delivery")
-	}
-}
-
-// TestRecordRegistryDeterminism is the end-to-end record equivalence gate the
-// CI asserts: the full registry (paper artifacts plus extensions) rendered
-// with the default fused record path and with ScalarRecord forced must match
-// byte-for-byte.
-func TestRecordRegistryDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full registry twice")
-	}
-	runners := append(append([]Runner{}, Registry...), ExtRegistry...)
-	render := func(scalarRecord bool) []string {
-		c := diffContext(0)
-		c.ScalarRecord = scalarRecord
-		outs := RunAll(c, runners, 0)
-		texts := make([]string, len(outs))
-		for i, o := range outs {
-			if o.Err != nil {
-				t.Fatalf("scalarRecord=%v %s: %v", scalarRecord, o.Runner.ID, o.Err)
-			}
-			texts[i] = o.Result.Render()
-		}
-		return texts
-	}
-	fused := render(false)
-	scalar := render(true)
-	for i := range fused {
-		if fused[i] != scalar[i] {
-			t.Errorf("%s renders differently on the fused record path:\n--- fused ---\n%s\n--- scalar ---\n%s",
-				runners[i].ID, fused[i], scalar[i])
-		}
+		t.Error("fused-fed profiler.Collector diverges from per-record delivery")
 	}
 }

@@ -5,23 +5,22 @@ import (
 	"testing"
 )
 
-// TestAllRendersAreWellFormed runs every registered driver (paper artifacts
-// and extensions) against the shared context and checks the rendered text is
-// non-trivial, mentions every benchmark it covers, and matches its ID/title
-// contract. This is the report surface users actually read, so it gets its
-// own test rather than riding along with the shape assertions.
+// TestAllRendersAreWellFormed checks every registered driver's render
+// (paper artifacts and extensions, from the sequential configuration of the
+// committed-output oracle) is non-trivial, mentions every benchmark it
+// covers, and matches its ID/title contract. This is the report surface
+// users actually read, so the failure names the broken property rather
+// than only a byte diff.
 func TestAllRendersAreWellFormed(t *testing.T) {
-	c := testCtx(t)
-	all := append(append([]Runner{}, Registry...), ExtRegistry...)
-	for _, r := range all {
-		r := r
-		t.Run(r.ID, func(t *testing.T) {
-			res, err := r.Run(c)
-			if err != nil {
-				t.Fatal(err)
+	for _, o := range renderRegistry(t, 0).outs {
+		o := o
+		t.Run(o.Runner.ID, func(t *testing.T) {
+			if o.Err != nil {
+				t.Fatal(o.Err)
 			}
-			if res.ID() != r.ID {
-				t.Errorf("result ID %q != registry ID %q", res.ID(), r.ID)
+			res := o.Result
+			if res.ID() != o.Runner.ID {
+				t.Errorf("result ID %q != registry ID %q", res.ID(), o.Runner.ID)
 			}
 			if res.Title() == "" {
 				t.Error("empty title")
@@ -33,7 +32,7 @@ func TestAllRendersAreWellFormed(t *testing.T) {
 			// Every per-benchmark driver lists the primary suite;
 			// table2.1 aggregates by suite and phase instead.
 			want := []string{"go", "m88ksim", "gcc", "vortex", "mgrid"}
-			if r.ID == "table2.1" {
+			if o.Runner.ID == "table2.1" {
 				want = []string{"Spec-int95", "Spec-fp95 init", "Spec-fp95 comp", "FP loads"}
 			}
 			for _, token := range want {

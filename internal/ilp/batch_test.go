@@ -69,7 +69,7 @@ func TestBatchScalarLiveAgree(t *testing.T) {
 			}
 			batch, scalar, live := newMachine(), newMachine(), newMachine()
 			rec.Replay(batch)
-			rec.Replay(trace.ScalarOnly(scalar))
+			rec.Replay(trace.ConsumerFunc(scalar.Consume))
 			if _, err := workload.Run(prog, live); err != nil {
 				t.Fatal(err)
 			}

@@ -462,7 +462,6 @@ func (s *Server) decodeTrace(b []byte) (*trace.Recorder, error) {
 	}
 	rec := trace.NewRecorder()
 	rec.SetMemBudget(s.cfg.TraceMemBudget)
-	rec.SetScalarReplay(s.cfg.ScalarReplay)
 	var r trace.Record
 	for {
 		if err := tr.Next(&r); err != nil {

@@ -615,8 +615,6 @@ func (s *Server) recordedTrace(p *program.Program, fp string) (*trace.Recorder, 
 		}
 		rec := trace.NewRecorder()
 		rec.SetMemBudget(s.cfg.TraceMemBudget)
-		rec.SetScalarReplay(s.cfg.ScalarReplay)
-		rec.SetScalarRecord(s.cfg.ScalarRecord)
 		if _, err := workload.RunConfig(p, s.vmConfig(), rec); err != nil {
 			return nil, err
 		}

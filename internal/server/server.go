@@ -66,17 +66,6 @@ type Config struct {
 	// and stream back during replay. ≤ 0 (the default) keeps traces fully
 	// resident. Results are bit-identical either way.
 	TraceMemBudget int64
-	// ScalarReplay forces every replay of cached traces onto the scalar
-	// per-record Consumer path instead of the default batch column
-	// kernels. Results are bit-identical either way; the switch is a
-	// debugging escape hatch, exposed as vpserve -scalar-replay.
-	ScalarReplay bool
-	// ScalarRecord forces every recording run onto the scalar per-record
-	// VM loop instead of the default fused execute+encode column path.
-	// Traces are byte-identical either way; the switch exists for the
-	// differential suites and as a debugging escape hatch, exposed as
-	// vpserve -scalar-record.
-	ScalarRecord bool
 	// StateDir, when set, enables the durability layer (DESIGN.md §13): a
 	// persistent artifact store under this directory backing every cache,
 	// plus a write-ahead job journal. Empty (the default) keeps all state

@@ -13,7 +13,7 @@ func TestCreateFileRoundTrip(t *testing.T) {
 	path := filepath.Join(dir, "run.vptrace")
 	recs := synthStream(0, fileChunkSize+17)
 
-	fw, err := CreateFile(path, FormatV2)
+	fw, err := CreateFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestCreateFileRoundTrip(t *testing.T) {
 func TestCreateFileAbortLeavesNothing(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.vptrace")
-	fw, err := CreateFile(path, FormatV2)
+	fw, err := CreateFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestCreateFileNeverTornOnOverwrite(t *testing.T) {
 	path := filepath.Join(dir, "run.vptrace")
 
 	write := func(n int64) {
-		fw, err := CreateFile(path, FormatV2)
+		fw, err := CreateFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestCreateFileNeverTornOnOverwrite(t *testing.T) {
 
 	// Open a second writer and fill it, but do not Close: the published
 	// file must still be the 5-record original.
-	fw, err := CreateFile(path, FormatV2)
+	fw, err := CreateFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

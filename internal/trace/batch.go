@@ -16,10 +16,9 @@ import (
 // structure-of-arrays columns of codec.go, decoded once — and runs its own
 // tight loop over the column slices, so the per-record cost collapses to
 // the consumer's real work. Replay, ReplayDirs and MultiEval hand batches
-// to consumers that support them and fall back to the scalar path (which
-// remains the reference implementation) otherwise; the two paths are proven
-// bit-identical by the differential tests in batch_test.go and
-// internal/experiments.
+// to consumers that support them and records one at a time otherwise; both
+// are checked against live re-execution (the VM feeding the consumer's
+// per-record Consume) by the tests in internal/experiments.
 
 // Flag bits of the Batch.Flags column, mirroring the boolean fields of
 // Record (codec.go packs them; bits 4-5 carry the recorded directive, which
@@ -77,8 +76,8 @@ type Batch struct {
 // chunks. Replay/ReplayDirs feed batches when every consumer implements it
 // (and MultiEval per configuration); the embedded scalar Consume still
 // handles the partially filled staging tail of an unsealed Recorder and any
-// scalar-only producer, so a batch kernel must keep both entry points
-// consistent — the differential tests enforce that bit-for-bit.
+// per-record producer, so a batch kernel must keep both entry points
+// consistent — the re-execution tests enforce that bit-for-bit.
 type BatchConsumer interface {
 	Consumer
 	// ConsumeBatch is called once per decoded chunk, in stream order. The

@@ -14,8 +14,8 @@ import (
 
 // batchCapture records every delivered record through both consumer
 // contracts, materializing batches record by record through Batch.Record —
-// so comparing its stream against a scalar capture checks every column of
-// every batch against the reference decode, field for field.
+// so comparing its stream against the recorded records checks every column
+// of every batch, field for field.
 type batchCapture struct {
 	recs    []Record
 	batches int
@@ -41,27 +41,20 @@ func (c *batchCapture) ConsumeBatch(b *Batch) {
 	}
 }
 
-// fillRandom records one random stream into rc and returns it.
-func fillRandom(rng *rand.Rand, n int64, rc *Recorder) []Record {
-	recs := make([]Record, n)
-	for i := range recs {
-		recs[i] = randomRecord(rng, int64(i))
-		rc.Consume(&recs[i])
-	}
-	return recs
-}
-
-// TestBatchMatchesScalarReplay is the core batch differential test: the
-// batch walk must deliver the same streams as the scalar reference path for
-// Replay and ReplayDirs, across chunk boundaries and with a partial staged
-// tail (which always flows through scalar Consume).
+// TestBatchMatchesScalarReplay is the core batch test: the batch walk and
+// the per-record walk a scalar-only consumer takes must both deliver the
+// recorded stream for Replay and ReplayDirs, across chunk boundaries and
+// with a partial staged tail (which always flows through scalar Consume).
 func TestBatchMatchesScalarReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	rc := NewRecorder()
-	fillRandom(rng, recorderChunkSize+recorderChunkSize/2, rc)
+	recs := randomRecords(rng, recorderChunkSize+recorderChunkSize/2)
+	rc := recordAll(recs)
 
-	var want capture // scalar-only consumer: forces the reference walk
+	var want capture // scalar-only consumer: takes the per-record walk
 	rc.Replay(&want)
+	if !reflect.DeepEqual(recs, want.recs) {
+		t.Fatal("scalar Replay differs from the recorded stream")
+	}
 	got := &batchCapture{}
 	rc.Replay(got)
 	if got.batches == 0 {
@@ -77,6 +70,9 @@ func TestBatchMatchesScalarReplay(t *testing.T) {
 	dirs := testDirs(rng)
 	var wantD capture
 	rc.ReplayDirs(dirs, &wantD)
+	if !reflect.DeepEqual(patched(recs, dirs), wantD.recs) {
+		t.Fatal("scalar ReplayDirs differs from the patched recorded stream")
+	}
 	gotD := &batchCapture{}
 	rc.ReplayDirs(dirs, gotD)
 	if !reflect.DeepEqual(wantD.recs, gotD.recs) {
@@ -116,6 +112,9 @@ func TestBatchMatchesScalarSpilled(t *testing.T) {
 		var want, wantD capture
 		rc.Replay(&want)
 		rc.ReplayDirs(dirs, &wantD)
+		if !reflect.DeepEqual(recs, want.recs) || !reflect.DeepEqual(patched(recs, dirs), wantD.recs) {
+			t.Fatalf("budget %d: scalar replay differs from the recorded stream", budget)
+		}
 
 		got, gotD := &batchCapture{}, &batchCapture{}
 		rc.Replay(got)
@@ -144,8 +143,7 @@ func TestBatchMatchesScalarSpilled(t *testing.T) {
 // observe exactly its own ReplayDirs/Replay stream.
 func TestBatchMultiEvalMixed(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	rc := NewRecorder()
-	fillRandom(rng, 2*recorderChunkSize+777, rc)
+	rc := recordAll(randomRecords(rng, 2*recorderChunkSize+777))
 	dirs := testDirs(rng)
 
 	var want, wantD, wantShort capture
@@ -182,104 +180,69 @@ func TestBatchMultiEvalMixed(t *testing.T) {
 }
 
 // TestBatchFileRoundTrip proves the batch path over traces that crossed the
-// file formats: streams written as VPTRC01 and VPTRC02 and read back into a
-// fresh Recorder replay identically on the batch and scalar paths, and
-// match the original stream (v1 and v2 preserve all fields; v2 derives Seq
-// from position, which these streams satisfy by construction).
+// file format: a stream written as VPTRC02 and read back into a fresh
+// Recorder replays identically on the batch and scalar paths, and matches
+// the original stream (v2 preserves all fields and derives Seq from
+// position, which this stream satisfies by construction).
 func TestBatchFileRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	orig := make([]Record, recorderChunkSize+345)
-	for i := range orig {
-		orig[i] = randomRecord(rng, int64(i))
-		// VPTRC01 stores Phase as uint16, so clamp the occasional -1 the
-		// random generator produces to keep the stream v1-representable.
-		if orig[i].Phase < 0 {
-			orig[i].Phase = 0
-		}
+	orig := randomRecords(rng, recorderChunkSize+345)
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, format := range []Format{FormatV1, FormatV2} {
-		var buf bytes.Buffer
-		w, err := NewWriterFormat(&buf, format)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range orig {
-			w.Consume(&orig[i])
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
+	for i := range orig {
+		w.Consume(&orig[i])
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-		tr, err := NewReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rc := NewRecorder()
-		var r Record
-		for {
-			if err := tr.Next(&r); err != nil {
-				if errors.Is(err, io.EOF) {
-					break
-				}
-				t.Fatal(err)
+	tr, err := NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := NewRecorder()
+	var r Record
+	for {
+		if err := tr.Next(&r); err != nil {
+			if errors.Is(err, io.EOF) {
+				break
 			}
-			rc.Consume(&r)
+			t.Fatal(err)
 		}
-		rc.Seal()
+		rc.Consume(&r)
+	}
+	rc.Seal()
 
-		var want capture
-		rc.Replay(&want)
-		if !reflect.DeepEqual(orig, want.recs) {
-			t.Fatalf("%v: scalar replay differs from the original stream", format)
-		}
-		got := &batchCapture{}
-		rc.Replay(got)
-		if !reflect.DeepEqual(orig, got.recs) {
-			t.Fatalf("%v: batch replay differs from the original stream", format)
-		}
+	var want capture
+	rc.Replay(&want)
+	if !reflect.DeepEqual(orig, want.recs) {
+		t.Fatal("scalar replay differs from the original stream")
+	}
+	got := &batchCapture{}
+	rc.Replay(got)
+	if !reflect.DeepEqual(orig, got.recs) {
+		t.Fatal("batch replay differs from the original stream")
 	}
 }
 
 // TestBatchCounterMatchesScalar pins the Counter batch kernel against its
-// scalar loop.
+// per-record Consume over the recorded stream.
 func TestBatchCounterMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	rc := NewRecorder()
-	fillRandom(rng, recorderChunkSize+99, rc)
+	recs := randomRecords(rng, recorderChunkSize+99)
+	rc := recordAll(recs)
+	rc.Seal()
 
 	var scalar, batch Counter
-	rc.SetScalarReplay(true)
-	rc.Replay(&scalar)
-	rc.SetScalarReplay(false)
+	for i := range recs {
+		scalar.Consume(&recs[i])
+	}
 	rc.Replay(&batch)
 	if scalar != batch {
 		t.Fatalf("Counter batch kernel %+v differs from scalar %+v", batch, scalar)
-	}
-}
-
-// TestScalarReplayEscapeHatch checks SetScalarReplay forces the reference
-// path: a batch-capable consumer must see only scalar Consume calls.
-func TestScalarReplayEscapeHatch(t *testing.T) {
-	rc := NewRecorder()
-	for i := int64(0); i < recorderChunkSize; i++ {
-		r := synthRecord(i)
-		rc.Consume(&r)
-	}
-	rc.Seal()
-	rc.SetScalarReplay(true)
-
-	c := &batchCapture{}
-	rc.Replay(c)
-	if c.batches != 0 {
-		t.Fatalf("scalar-replay Replay delivered %d batches, want 0", c.batches)
-	}
-	if c.scalars != recorderChunkSize {
-		t.Fatalf("scalar-replay Replay delivered %d records, want %d", c.scalars, recorderChunkSize)
-	}
-	m := &batchCapture{}
-	rc.MultiEval(EvalConfig{Consumer: m})
-	if m.batches != 0 {
-		t.Fatalf("scalar-replay MultiEval delivered %d batches, want 0", m.batches)
 	}
 }
 
@@ -351,8 +314,8 @@ func TestBatchConcurrentReplays(t *testing.T) {
 func TestRecordingPooledBuffers(t *testing.T) {
 	build := func(seed int64) (*Recorder, []Record) {
 		rng := rand.New(rand.NewSource(seed))
-		rc := NewRecorder()
-		recs := fillRandom(rng, recorderChunkSize+50, rc)
+		recs := randomRecords(rng, recorderChunkSize+50)
+		rc := recordAll(recs)
 		rc.Seal()
 		return rc, recs
 	}

@@ -44,7 +44,7 @@ import (
 // chunkColumns is the number of varint columns when seq is included.
 const chunkColumns = 5
 
-// chunkEncoder encodes record slices into the packed columnar form. The
+// chunkEncoder encodes staged column chunks into the packed form. The
 // per-column scratch buffers are reused across chunks, so a long recording
 // allocates only the retained chunk encodings. buf is the encode output
 // scratch the Recorder assembles chunks in before copying out exactly the
@@ -61,85 +61,12 @@ type chunkEncoder struct {
 func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 func zagzig(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// appendZigzag appends the zigzag varint of v to dst.
-func appendZigzag(dst []byte, v int64) []byte {
-	return binary.AppendUvarint(dst, zigzag(v))
-}
-
-// encode appends the columnar encoding of recs to dst and returns the
-// extended slice. firstSeq is the stream position of recs[0]; withSeq
-// selects whether the seq column is emitted (the in-memory Recorder keeps
-// it for bit-identical replay of arbitrary streams, the file format drops
-// it).
-func (e *chunkEncoder) encode(dst []byte, recs []Record, firstSeq int64, withSeq bool) []byte {
-	e.addr, e.value, e.mem, e.phase, e.seq =
-		e.addr[:0], e.value[:0], e.mem[:0], e.phase[:0], e.seq[:0]
-	var prevAddr, prevMem, prevPhase int64
-	for i := range recs {
-		r := &recs[i]
-		e.addr = appendZigzag(e.addr, r.Addr-prevAddr)
-		prevAddr = r.Addr
-		e.value = appendZigzag(e.value, r.Value)
-		e.mem = appendZigzag(e.mem, r.MemAddr-prevMem)
-		prevMem = r.MemAddr
-		e.phase = appendZigzag(e.phase, int64(r.Phase)-prevPhase)
-		prevPhase = int64(r.Phase)
-		if withSeq {
-			e.seq = appendZigzag(e.seq, r.Seq-(firstSeq+int64(i)))
-		}
-	}
-
-	dst = binary.AppendUvarint(dst, uint64(len(recs)))
-	for i := range recs {
-		dst = append(dst, byte(recs[i].Op))
-	}
-	for i := range recs {
-		r := &recs[i]
-		f := byte(r.Dir) << 4
-		if r.HasDest {
-			f |= 1
-		}
-		if r.DestFP {
-			f |= 2
-		}
-		if r.Taken {
-			f |= 4
-		}
-		if r.HasMem {
-			f |= 8
-		}
-		dst = append(dst, f)
-	}
-	for i := range recs {
-		dst = append(dst, byte(recs[i].Dest))
-	}
-	for i := range recs {
-		for _, rd := range recs[i].Reads {
-			var b byte
-			if rd.Valid {
-				b = 0x80 | byte(rd.Reg)&0x3f
-				if rd.FP {
-					b |= 0x40
-				}
-			}
-			dst = append(dst, b)
-		}
-	}
-	cols := [][]byte{e.addr, e.value, e.mem, e.phase, e.seq}
-	if !withSeq {
-		cols = cols[:chunkColumns-1]
-	}
-	for _, col := range cols {
-		dst = binary.AppendUvarint(dst, uint64(len(col)))
-		dst = append(dst, col...)
-	}
-	return dst
-}
-
-// encodeCols appends the columnar encoding of the staged columns to dst —
-// the chunk-seal batch twin of encode, byte-identical to encoding the
-// equivalent Record slice. The fixed byte columns are already in codec
-// layout (one memcpy each); the integer columns run through one
+// encodeCols appends the columnar encoding of the staged columns to dst,
+// the codec's only encoder. firstSeq (st.FirstSeq) is the stream position
+// of element 0; withSeq selects whether the seq column is emitted (the
+// in-memory Recorder keeps it for bit-identical replay of arbitrary
+// streams, the file format drops it). The fixed byte columns are already in
+// codec layout (one memcpy each); the integer columns run through one
 // delta+zigzag pass that OR/AND-accumulates a uniformity prescan, then the
 // speculative uniform-width emitters of appendCol — the encode mirror of
 // decodeColUniform1/2. Canonical varints everywhere keep the output

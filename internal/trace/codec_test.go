@@ -21,11 +21,25 @@ func synthStream(first, n int64) []Record {
 }
 
 func TestCodecRoundTrip(t *testing.T) {
+	// Streams shaped to drive each speculative column-width emitter.
+	for name, recs := range widthStreams() {
+		for _, withSeq := range []bool{true, false} {
+			var enc chunkEncoder
+			data := encodeRecords(&enc, nil, recs, 0, withSeq)
+			out := make([]Record, len(recs))
+			if _, err := decodeChunk(out, data, 0, withSeq, false); err != nil {
+				t.Fatalf("%s withSeq=%v: decode: %v", name, withSeq, err)
+			}
+			if !reflect.DeepEqual(out, recs) {
+				t.Fatalf("%s withSeq=%v: round trip differs", name, withSeq)
+			}
+		}
+	}
 	for _, n := range []int64{1, 2, 7, 255, 256, 1000, recorderChunkSize} {
 		for _, withSeq := range []bool{true, false} {
 			recs := synthStream(1234, n)
 			var enc chunkEncoder
-			data := enc.encode(nil, recs, 1234, withSeq)
+			data := encodeRecords(&enc, nil, recs, 1234, withSeq)
 			out := make([]Record, n)
 			got, err := decodeChunk(out, data, 1234, withSeq, true)
 			if err != nil {
@@ -52,7 +66,7 @@ func TestCodecRoundTripExtremes(t *testing.T) {
 		{Addr: 1 << 62, Op: isa.OpLD, HasDest: true, Dest: 63, Value: 1, MemAddr: -1, HasMem: true, Seq: 3},
 	}
 	var enc chunkEncoder
-	data := enc.encode(nil, recs, 0, true)
+	data := encodeRecords(&enc, nil, recs, 0, true)
 	out := make([]Record, len(recs))
 	if _, err := decodeChunk(out, data, 0, true, false); err != nil {
 		t.Fatal(err)
@@ -69,9 +83,9 @@ func TestCodecEncoderReuse(t *testing.T) {
 	var enc chunkEncoder
 	a := synthStream(0, 100)
 	b := synthStream(100, 50)
-	dataA := enc.encode(nil, a, 0, true)
-	dataB := enc.encode(nil, b, 100, true)
-	fresh := (&chunkEncoder{}).encode(nil, b, 100, true)
+	dataA := encodeRecords(&enc, nil, a, 0, true)
+	dataB := encodeRecords(&enc, nil, b, 100, true)
+	fresh := encodeRecords(&chunkEncoder{}, nil, b, 100, true)
 	if string(dataB) != string(fresh) {
 		t.Fatal("reused encoder produced different bytes than a fresh one")
 	}
@@ -89,7 +103,7 @@ func TestCodecEncoderReuse(t *testing.T) {
 func TestCodecRejectsTruncation(t *testing.T) {
 	recs := synthStream(0, 300)
 	var enc chunkEncoder
-	data := enc.encode(nil, recs, 0, true)
+	data := encodeRecords(&enc, nil, recs, 0, true)
 	out := make([]Record, len(recs)+1)
 	for cut := 0; cut < len(data); cut++ {
 		if _, err := decodeChunk(out, data[:cut], 0, true, true); err == nil {
@@ -105,7 +119,7 @@ func TestCodecRejectsTruncation(t *testing.T) {
 func TestCodecRejectsTrailingBytes(t *testing.T) {
 	recs := synthStream(0, 10)
 	var enc chunkEncoder
-	data := enc.encode(nil, recs, 0, false)
+	data := encodeRecords(&enc, nil, recs, 0, false)
 	data = append(data, 0x00)
 	out := make([]Record, 10)
 	if _, err := decodeChunk(out, data, 0, false, true); err == nil {
@@ -116,7 +130,7 @@ func TestCodecRejectsTrailingBytes(t *testing.T) {
 func TestCodecStrictRejectsInvalidOpDir(t *testing.T) {
 	recs := synthStream(0, 4)
 	var enc chunkEncoder
-	base := enc.encode(nil, recs, 0, false)
+	base := encodeRecords(&enc, nil, recs, 0, false)
 
 	badOp := append([]byte(nil), base...)
 	badOp[2] = 0xee // second op byte (byte 0 is the count uvarint)
@@ -138,7 +152,7 @@ func TestCodecStrictRejectsInvalidOpDir(t *testing.T) {
 func TestCodecBytesPerRecord(t *testing.T) {
 	recs := synthStream(0, recorderChunkSize)
 	var enc chunkEncoder
-	data := enc.encode(nil, recs, 0, true)
+	data := encodeRecords(&enc, nil, recs, 0, true)
 	bpr := float64(len(data)) / float64(len(recs))
 	t.Logf("synthetic stream: %.2f encoded bytes/record (in-memory Record is %d)", bpr, recordMemBytes)
 	// The ≥3x in-memory reduction the benchmarks gate on needs ≤18.6 B/rec.

@@ -6,17 +6,17 @@ import (
 	"repro/internal/isa"
 )
 
-// This file defines the fused-recording staging surface: the write-side twin
-// of batch.go. On the scalar path every retired instruction costs a Record
-// materialization, an interface dispatch into Consume, and a 56-byte struct
-// copy into the staging buffer — then flushStaged re-reads the structs and
-// varint-encodes them one record at a time. RecordColumns removes all three:
-// the VM dispatch loop writes the destructured record fields straight into
-// per-chunk SoA columns (plain byte/int64 stores, no Record, no interface
-// call), and the zigzag-delta/varint compression runs once per chunk at seal
-// time through the speculative uniform-width encoders of codec.go. The
-// scalar Consume path remains the bit-identical reference (SetScalarRecord /
-// -scalar-record); the differential tests byte-diff the two end to end.
+// This file defines the fused-recording staging surface: the write-side
+// counterpart of batch.go. Per-record delivery costs a Record
+// materialization and an interface dispatch into Consume for every retired
+// instruction. RecordColumns removes both: the VM dispatch loop writes the
+// destructured record fields straight into per-chunk SoA columns (plain
+// byte/int64 stores, no Record, no interface call), and the
+// zigzag-delta/varint compression runs once per chunk at seal time through
+// the speculative uniform-width encoders of codec.go. Records that still
+// arrive one at a time (Consume on a fan-out) are destructured into the
+// same columns by appendRecord, so there is one staging representation and
+// one encoder.
 
 // RecordColumns is one chunk of staged records as parallel columns: element
 // i of every column carries the field Record i would. The byte columns use
@@ -86,8 +86,8 @@ func PackFlags(r *Record) byte {
 	return f
 }
 
-// appendRecord destructures r into the columns — the scalar producer's entry
-// into column staging, packing exactly what chunkEncoder.encode would.
+// appendRecord destructures r into the columns — the per-record producer's
+// entry into column staging, packing exactly what the fused VM loop writes.
 func (st *RecordColumns) appendRecord(r *Record) {
 	i := st.N
 	st.Op[i] = byte(r.Op)
@@ -105,7 +105,7 @@ func (st *RecordColumns) appendRecord(r *Record) {
 
 // materialize reconstructs the staged records into out (which must hold N
 // records) — how the unsealed staging tail is replayed, bit-identical to the
-// records a scalar staging buffer would hold.
+// records that were appended.
 func (st *RecordColumns) materialize(out []Record) {
 	for i := range out[:st.N] {
 		r := &out[i]
@@ -161,10 +161,10 @@ func putCols(st *RecordColumns) { colsPool.Put(st) }
 // ColumnStage returns a non-nil stage the VM bypasses Consume entirely and
 // writes destructured record fields straight into the stage's columns,
 // calling FlushColumns each time the stage fills and FlushTail once when the
-// run ends (halt or error). A nil ColumnStage (scalar-record mode, or a
-// sealed recorder) keeps the run on the per-record Consume reference path.
-// Both paths must be observably identical — the differential suites enforce
-// it byte for byte.
+// run ends (halt or error). A nil ColumnStage (a sealed recorder) keeps the
+// run on the per-record Consume path. Both paths must be observably
+// identical — the re-execution tests compare them against the VM's
+// per-record loop.
 type ColumnAppender interface {
 	Consumer
 	// ColumnStage returns the live staging columns, or nil when fused
@@ -200,8 +200,8 @@ func NewColumnSink(c BatchConsumer) *ColumnSink {
 	return &ColumnSink{c: c, st: getCols(), dir: make([]isa.Directive, recorderChunkSize)}
 }
 
-// Consume implements the scalar reference path: records delivered one at a
-// time still flow through the same staging columns, so scalar and fused
+// Consume implements the per-record path: records delivered one at a time
+// still flow through the same staging columns, so per-record and fused
 // producers feed the consumer identical batches.
 func (s *ColumnSink) Consume(r *Record) {
 	s.st.appendRecord(r)
@@ -257,15 +257,3 @@ func (s *ColumnSink) Close() {
 		s.st = nil
 	}
 }
-
-// scalarOnly hides a consumer's column/batch fast-path interfaces so the VM
-// keeps the per-record reference loop.
-type scalarOnly struct{ c Consumer }
-
-func (s scalarOnly) Consume(r *Record) { s.c.Consume(r) }
-
-// ScalarOnly wraps c so producers see only the plain Consumer interface —
-// the -scalar-record escape hatch for consumers (trace file writers, batch
-// kernels) that would otherwise be driven through the fused column path. The
-// record stream is identical; only the delivery mechanism changes.
-func ScalarOnly(c Consumer) Consumer { return scalarOnly{c} }

@@ -36,13 +36,36 @@ func randomRecord(rng *rand.Rand, seq int64) Record {
 	return r
 }
 
-// fillBoth feeds one random stream to both recorders.
-func fillBoth(rng *rand.Rand, n int64, a *AoSRecorder, b *Recorder) {
-	for i := int64(0); i < n; i++ {
-		r := randomRecord(rng, i)
-		a.Consume(&r)
-		b.Consume(&r)
+// recordAll records recs into a fresh Recorder (left unsealed).
+func recordAll(recs []Record) *Recorder {
+	rc := NewRecorder()
+	for i := range recs {
+		rc.Consume(&recs[i])
 	}
+	return rc
+}
+
+// randomRecords builds n random records with positional Seq.
+func randomRecords(rng *rand.Rand, n int) []Record {
+	recs := make([]Record, n)
+	for i := range recs {
+		recs[i] = randomRecord(rng, int64(i))
+	}
+	return recs
+}
+
+// patched returns recs as ReplayDirs(dirs) must deliver them: each
+// directive replaced by dirs[Addr], or DirNone outside the table.
+func patched(recs []Record, dirs []isa.Directive) []Record {
+	out := make([]Record, len(recs))
+	for i, r := range recs {
+		r.Dir = isa.DirNone
+		if r.Addr >= 0 && r.Addr < int64(len(dirs)) {
+			r.Dir = dirs[r.Addr]
+		}
+		out[i] = r
+	}
+	return out
 }
 
 // testDirs builds a directive table covering part of the address range, so
@@ -55,52 +78,47 @@ func testDirs(rng *rand.Rand) []isa.Directive {
 	return dirs
 }
 
-// TestColumnarMatchesAoSReplay is the core differential test: the columnar
-// Recorder must replay bit-identically to the array-of-structs baseline,
-// across chunk boundaries and with a partial staged tail.
+// TestColumnarMatchesAoSReplay is the core round-trip test: the columnar
+// Recorder must replay bit-identically to the array-of-structs stream it
+// recorded, across chunk boundaries and with a partial staged tail.
 func TestColumnarMatchesAoSReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	aos, col := NewAoSRecorder(), NewRecorder()
-	fillBoth(rng, recorderChunkSize+recorderChunkSize/2, aos, col)
+	recs := randomRecords(rng, recorderChunkSize+recorderChunkSize/2)
+	col := recordAll(recs)
 
-	var wantR, gotR capture
-	aos.Replay(&wantR)
+	var gotR capture
 	col.Replay(&gotR)
-	if !reflect.DeepEqual(wantR.recs, gotR.recs) {
-		t.Fatal("Replay differs from the AoS baseline")
+	if !reflect.DeepEqual(recs, gotR.recs) {
+		t.Fatal("Replay differs from the recorded stream")
 	}
 
 	dirs := testDirs(rng)
-	var wantD, gotD capture
-	aos.ReplayDirs(dirs, &wantD)
+	var gotD capture
 	col.ReplayDirs(dirs, &gotD)
-	if !reflect.DeepEqual(wantD.recs, gotD.recs) {
-		t.Fatal("ReplayDirs differs from the AoS baseline")
+	if !reflect.DeepEqual(patched(recs, dirs), gotD.recs) {
+		t.Fatal("ReplayDirs differs from the patched recorded stream")
 	}
 }
 
 func TestColumnarMatchesAoSMultiEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	aos, col := NewAoSRecorder(), NewRecorder()
-	fillBoth(rng, recorderChunkSize+777, aos, col)
+	recs := randomRecords(rng, recorderChunkSize+777)
+	col := recordAll(recs)
 	dirs := testDirs(rng)
 
-	run := func(rc interface{ MultiEval(...EvalConfig) int64 }) [3][]Record {
-		var a, b, c capture
-		saved := rc.MultiEval(
-			EvalConfig{Consumer: &a},
-			EvalConfig{Dirs: dirs, Consumer: &b},
-			EvalConfig{Dirs: dirs[:100], Consumer: &c},
-		)
-		if saved != 2 {
-			t.Fatalf("MultiEval saved = %d, want 2", saved)
-		}
-		return [3][]Record{a.recs, b.recs, c.recs}
+	var a, b, c capture
+	saved := col.MultiEval(
+		EvalConfig{Consumer: &a},
+		EvalConfig{Dirs: dirs, Consumer: &b},
+		EvalConfig{Dirs: dirs[:100], Consumer: &c},
+	)
+	if saved != 2 {
+		t.Fatalf("MultiEval saved = %d, want 2", saved)
 	}
-	want, got := run(aos), run(col)
-	for i := range want {
-		if !reflect.DeepEqual(want[i], got[i]) {
-			t.Fatalf("MultiEval config %d differs from the AoS baseline", i)
+	want := [][]Record{recs, patched(recs, dirs), patched(recs, dirs[:100])}
+	for i, got := range [][]Record{a.recs, b.recs, c.recs} {
+		if !reflect.DeepEqual(want[i], got) {
+			t.Fatalf("MultiEval config %d differs from the recorded stream", i)
 		}
 	}
 }
@@ -132,10 +150,16 @@ func TestSpilledMatchesResident(t *testing.T) {
 	if resident.SpilledChunks() != 0 {
 		t.Fatalf("unbudgeted recorder spilled %d chunks", resident.SpilledChunks())
 	}
+	if !reflect.DeepEqual(recs, want.recs) {
+		t.Fatal("resident Replay differs from the recorded stream")
+	}
 
 	dirs := testDirs(rng)
 	var wantDirs capture
 	resident.ReplayDirs(dirs, &wantDirs)
+	if !reflect.DeepEqual(patched(recs, dirs), wantDirs.recs) {
+		t.Fatal("resident ReplayDirs differs from the patched recorded stream")
+	}
 
 	for _, budget := range []int64{1, 64 << 10, 1 << 20} {
 		rc := record(budget)

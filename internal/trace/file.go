@@ -17,9 +17,10 @@ import (
 // execution from analysis, the way SHADE trace files decoupled tracing from
 // the paper's analyzers.
 //
-// VPTRC01 (legacy): an 8-byte magic followed by fixed 40-byte records.
+// VPTRC01 (legacy, read only): an 8-byte magic followed by fixed 40-byte
+// records. Reader accepts it so existing trace files stay readable.
 //
-// VPTRC02 (default): the 8-byte magic followed by self-delimiting frames,
+// VPTRC02: the 8-byte magic followed by self-delimiting frames,
 // each one columnar-compressed chunk of up to fileChunkSize records:
 //
 //	u32  payload length (little-endian)
@@ -30,20 +31,20 @@ import (
 //
 // A clean EOF falls exactly on a frame boundary; anything else is reported
 // as truncation. Readers accept both versions (sniffed from the magic);
-// writers produce VPTRC02 unless FormatV1 is requested.
+// writers produce VPTRC02.
 
 var (
 	fileMagicV1 = [8]byte{'V', 'P', 'T', 'R', 'C', '0', '1', '\n'}
 	fileMagicV2 = [8]byte{'V', 'P', 'T', 'R', 'C', '0', '2', '\n'}
 )
 
-// Format selects the on-disk trace encoding.
+// Format identifies the on-disk trace encoding a Reader found.
 type Format int
 
 const (
-	// FormatV2 is the framed columnar-compressed encoding (default).
+	// FormatV2 is the framed columnar-compressed encoding Writer produces.
 	FormatV2 Format = iota
-	// FormatV1 is the legacy fixed-40-byte-record encoding.
+	// FormatV1 is the legacy fixed-40-byte-record encoding (read only).
 	FormatV1
 )
 
@@ -53,17 +54,6 @@ func (f Format) String() string {
 		return "VPTRC01"
 	}
 	return "VPTRC02"
-}
-
-// ParseFormat maps a command-line format name ("v1", "v2") to a Format.
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "v1", "V1", "VPTRC01":
-		return FormatV1, nil
-	case "v2", "V2", "VPTRC02", "":
-		return FormatV2, nil
-	}
-	return FormatV2, fmt.Errorf("trace: unknown format %q (want v1 or v2)", s)
 }
 
 // ErrTruncated reports a trace file that ends mid-record or mid-frame.
@@ -91,27 +81,24 @@ const maxFramePayload = 1 << 26
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Writer streams records to an io.Writer in the selected format. Write
-// errors are sticky: the first failure is captured with the record index
-// and byte offset where the stream stopped being durable, every record not
-// durably written is counted as dropped, and Flush/Close surface the
-// annotated error instead of silently losing the tail of the trace.
+// Writer streams records to an io.Writer as VPTRC02. Write errors are
+// sticky: the first failure is captured with the record index and byte
+// offset where the stream stopped being durable, every record not durably
+// written is counted as dropped, and Flush/Close surface the annotated
+// error instead of silently losing the tail of the trace. Frames are
+// written whole, so error attribution is frame-granular: the reported
+// record is the first record of the failing frame.
 //
-// Writes are batched — v1 records accumulate into a ~64 KiB buffer, v2
-// frames are written whole — so error attribution is exact for v1 (fixed
-// record size maps the partial-write offset back to a record index) and
-// frame-granular for v2 (the first record of the failing frame).
-//
-// A v2 Writer stages the frame being filled as columns, not records: it
+// A Writer stages the frame being filled as columns, not records: it
 // implements ColumnAppender (the VM's fused loop writes destructured fields
 // straight into the frame stage) and BatchConsumer (replaying a sealed
-// Recorder to a file copies decoded columns frame by frame), and the scalar
-// Consume path destructures into the same stage — all three producers reach
-// the seal-time column encoder and produce byte-identical files.
+// Recorder to a file copies decoded columns frame by frame), and the
+// per-record Consume path destructures into the same stage — all three
+// producers reach the seal-time column encoder and produce byte-identical
+// files.
 type Writer struct {
 	out     io.Writer
-	format  Format
-	cols    *RecordColumns // v2: the frame being filled
+	cols    *RecordColumns // the frame being filled
 	enc     chunkEncoder
 	buf     []byte // encoded bytes awaiting write
 	bufRec  int64  // index of the first record encoded in buf
@@ -121,29 +108,12 @@ type Writer struct {
 	err     error
 }
 
-// v1BatchBytes is the v1 write-batch size.
-const v1BatchBytes = 1 << 16
-
-// NewWriter writes the trace header and returns a streaming writer in the
-// default format (VPTRC02).
-func NewWriter(w io.Writer) (*Writer, error) { return NewWriterFormat(w, FormatV2) }
-
-// NewWriterFormat writes the trace header for the given format and returns
-// a streaming writer. FormatV1 is the escape hatch for consumers that still
-// parse the legacy fixed-record layout.
-func NewWriterFormat(w io.Writer, format Format) (*Writer, error) {
-	magic := fileMagicV2
-	if format == FormatV1 {
-		magic = fileMagicV1
-	}
-	if _, err := w.Write(magic[:]); err != nil {
+// NewWriter writes the VPTRC02 header and returns a streaming writer.
+func NewWriter(w io.Writer) (*Writer, error) {
+	if _, err := w.Write(fileMagicV2[:]); err != nil {
 		return nil, fmt.Errorf("trace: write magic: %w", err)
 	}
-	tw := &Writer{out: w, format: format, off: int64(len(magic))}
-	if format == FormatV2 {
-		tw.cols = newRecordColumns(fileChunkSize)
-	}
-	return tw, nil
+	return &Writer{out: w, cols: newRecordColumns(fileChunkSize), off: int64(len(fileMagicV2))}, nil
 }
 
 // flushBuf writes the pending batch. On failure it records the first error
@@ -159,13 +129,8 @@ func (tw *Writer) flushBuf() {
 		tw.off += int64(nw)
 	}
 	if err != nil {
-		failRec := tw.bufRec
-		if tw.format == FormatV1 {
-			// Fixed-size records make the partial write exactly attributable.
-			failRec = (tw.off - int64(len(fileMagicV1))) / v1RecordSize
-		}
-		tw.err = fmt.Errorf("trace: write record %d (byte offset %d): %w", failRec, tw.off, err)
-		tw.dropped = tw.n - failRec
+		tw.err = fmt.Errorf("trace: write record %d (byte offset %d): %w", tw.bufRec, tw.off, err)
+		tw.dropped = tw.n - tw.bufRec
 	}
 	tw.buf = tw.buf[:0]
 	tw.bufRec = tw.n
@@ -177,10 +142,6 @@ func (tw *Writer) Consume(r *Record) {
 		tw.dropped++
 		return
 	}
-	if tw.format == FormatV1 {
-		tw.consumeV1(r)
-		return
-	}
 	tw.cols.appendRecord(r)
 	if tw.cols.N == fileChunkSize {
 		tw.flushFrame()
@@ -190,23 +151,10 @@ func (tw *Writer) Consume(r *Record) {
 // ConsumeBatch implements BatchConsumer: decoded replay chunks are copied
 // into the frame stage column-wise (the flags bytes are rebuilt so a
 // directive column patched by ReplayDirs lands in the file, exactly as the
-// scalar path writes the patched record). v1 falls back to per-record
-// encoding.
+// per-record path writes the patched record).
 func (tw *Writer) ConsumeBatch(b *Batch) {
 	if tw.err != nil {
 		tw.dropped += int64(b.N)
-		return
-	}
-	if tw.format == FormatV1 {
-		var r Record
-		for i := 0; i < b.N; i++ {
-			if tw.err != nil {
-				tw.dropped += int64(b.N - i)
-				return
-			}
-			b.Record(i, &r)
-			tw.consumeV1(&r)
-		}
 		return
 	}
 	for k := 0; k < b.N; {
@@ -235,14 +183,8 @@ func (tw *Writer) ConsumeBatch(b *Batch) {
 }
 
 // ColumnStage implements ColumnAppender: the VM's fused loop may write
-// destructured record fields straight into the frame stage. v1 keeps the
-// per-record reference path.
-func (tw *Writer) ColumnStage() *RecordColumns {
-	if tw.format == FormatV1 {
-		return nil
-	}
-	return tw.cols
-}
+// destructured record fields straight into the frame stage.
+func (tw *Writer) ColumnStage() *RecordColumns { return tw.cols }
 
 // FlushColumns seals the filled frame stage.
 func (tw *Writer) FlushColumns() *RecordColumns {
@@ -251,56 +193,15 @@ func (tw *Writer) FlushColumns() *RecordColumns {
 }
 
 // FlushTail implements ColumnAppender; the partial frame stays staged until
-// Flush or Close, like scalar-consumed records.
+// Flush or Close, like records delivered through Consume.
 func (tw *Writer) FlushTail() {}
-
-func (tw *Writer) consumeV1(r *Record) {
-	var buf [v1RecordSize]byte
-	binary.LittleEndian.PutUint64(buf[0:], uint64(r.Addr))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(r.Seq))
-	binary.LittleEndian.PutUint64(buf[16:], uint64(r.Value))
-	binary.LittleEndian.PutUint64(buf[24:], uint64(r.MemAddr))
-	buf[32] = uint8(r.Op)
-	buf[33] = uint8(r.Dir)
-	var flags uint8
-	if r.HasDest {
-		flags |= 1
-	}
-	if r.DestFP {
-		flags |= 2
-	}
-	if r.Taken {
-		flags |= 4
-	}
-	if r.HasMem {
-		flags |= 8
-	}
-	buf[34] = flags
-	buf[35] = uint8(r.Dest)
-	binary.LittleEndian.PutUint16(buf[36:], uint16(r.Phase))
-	for i, rd := range r.Reads {
-		var b uint8
-		if rd.Valid {
-			b = 0x80 | uint8(rd.Reg)&0x3f
-			if rd.FP {
-				b |= 0x40
-			}
-		}
-		buf[38+i] = b
-	}
-	tw.buf = append(tw.buf, buf[:]...)
-	tw.n++
-	if len(tw.buf) >= v1BatchBytes {
-		tw.flushBuf()
-	}
-}
 
 // flushFrame encodes and writes the staged columns as one VPTRC02 frame.
 // Records are counted as accepted here, at frame granularity, because fused
 // producers bypass Consume and write the stage directly.
 func (tw *Writer) flushFrame() {
 	st := tw.cols
-	if st == nil || st.N == 0 || tw.err != nil {
+	if st.N == 0 || tw.err != nil {
 		return
 	}
 	tw.n += int64(st.N)
@@ -313,7 +214,7 @@ func (tw *Writer) flushFrame() {
 	tw.flushBuf()
 }
 
-// Flush writes any partially filled frame or batch. It returns the first
+// Flush writes any partially filled frame. It returns the first
 // write error, annotated with the failing record index and byte offset.
 func (tw *Writer) Flush() error {
 	tw.flushFrame()
@@ -358,7 +259,7 @@ type FileWriter struct {
 // CreateFile opens an atomic trace writer targeting path. The final file
 // appears only on a successful Close; until then (and after any failure)
 // the destination is untouched.
-func CreateFile(path string, format Format) (*FileWriter, error) {
+func CreateFile(path string) (*FileWriter, error) {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return nil, fmt.Errorf("trace: create %s: %w", path, err)
@@ -370,7 +271,7 @@ func CreateFile(path string, format Format) (*FileWriter, error) {
 		os.Remove(f.Name())
 		return nil, fmt.Errorf("trace: create %s: %w", path, err)
 	}
-	tw, err := NewWriterFormat(f, format)
+	tw, err := NewWriter(f)
 	if err != nil {
 		f.Close()
 		os.Remove(f.Name())

@@ -5,11 +5,48 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 	"testing"
 )
 
-// encodeV2 writes recs through a v2 Writer and returns the file bytes.
+// The format fixtures hold the first fixtureLen records of hydro2d's
+// evaluation run, fixtureV1 in the VPTRC01 encoding and fixtureV2 in
+// VPTRC02, each written by a real writer for that format.
+const (
+	fixtureV1  = "testdata/hydro2d-400.vptrc01"
+	fixtureV2  = "testdata/hydro2d-400.vptrc02"
+	fixtureLen = 400
+)
+
+// readFixture returns a private copy of a testdata file.
+func readFixture(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// fixtureRecords reads every record of a fixture trace file.
+func fixtureRecords(t *testing.T, path string) []Record {
+	t.Helper()
+	r, err := NewReader(bytes.NewReader(readFixture(t, path)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := r.ReadAll()
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	if len(recs) != fixtureLen {
+		t.Fatalf("%s: %d records, want %d", path, len(recs), fixtureLen)
+	}
+	return recs
+}
+
+// encodeV2 writes recs through a Writer and returns the file bytes.
 func encodeV2(t *testing.T, recs []Record) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -158,57 +195,55 @@ func (fw *flakyWriter) Write(p []byte) (int, error) {
 // failing record index and byte offset, and count the records dropped after
 // the failure instead of losing them silently.
 func TestWriterSurfacesWriteError(t *testing.T) {
-	for _, format := range []Format{FormatV1, FormatV2} {
-		t.Run(format.String(), func(t *testing.T) {
-			fw := &flakyWriter{failAfter: 200}
-			w, err := NewWriterFormat(fw, format)
-			if err != nil {
-				t.Fatal(err)
+	t.Run(FormatV2.String(), func(t *testing.T) {
+		fw := &flakyWriter{failAfter: 200}
+		w, err := NewWriter(fw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := synthStream(0, fileChunkSize+50)
+		for i := range recs {
+			w.Consume(&recs[i])
+			if i%64 == 0 {
+				w.Flush() // push frames at the failing writer mid-stream
 			}
-			recs := synthStream(0, fileChunkSize+50)
-			for i := range recs {
-				w.Consume(&recs[i])
-				if format == FormatV2 && i%64 == 0 {
-					w.Flush() // push frames at the failing writer mid-stream
-				}
-			}
-			err = w.Close()
-			if err == nil {
-				t.Fatal("Close returned nil after write failures")
-			}
-			if !errors.Is(err, errDiskFull) {
-				t.Fatalf("Close error %v does not wrap the writer's error", err)
-			}
-			msg := err.Error()
-			if !strings.Contains(msg, "record") || !strings.Contains(msg, "byte offset") {
-				t.Errorf("error lacks record/offset diagnostics: %v", err)
-			}
-			if w.Dropped() == 0 {
-				t.Error("Dropped = 0, want records counted after the first failure")
-			}
-			if !strings.Contains(msg, fmt.Sprintf("%d records dropped", w.Dropped())) {
-				t.Errorf("error does not report the dropped count: %v", err)
-			}
-			// The error is sticky: Flush keeps returning it.
-			if err2 := w.Flush(); err2 == nil || !errors.Is(err2, errDiskFull) {
-				t.Errorf("Flush after failure = %v, want the sticky error", err2)
-			}
-		})
-	}
+		}
+		err = w.Close()
+		if err == nil {
+			t.Fatal("Close returned nil after write failures")
+		}
+		if !errors.Is(err, errDiskFull) {
+			t.Fatalf("Close error %v does not wrap the writer's error", err)
+		}
+		msg := err.Error()
+		if !strings.Contains(msg, "record") || !strings.Contains(msg, "byte offset") {
+			t.Errorf("error lacks record/offset diagnostics: %v", err)
+		}
+		if w.Dropped() == 0 {
+			t.Error("Dropped = 0, want records counted after the first failure")
+		}
+		if !strings.Contains(msg, fmt.Sprintf("%d records dropped", w.Dropped())) {
+			t.Errorf("error does not report the dropped count: %v", err)
+		}
+		// The error is sticky: Flush keeps returning it.
+		if err2 := w.Flush(); err2 == nil || !errors.Is(err2, errDiskFull) {
+			t.Errorf("Flush after failure = %v, want the sticky error", err2)
+		}
+	})
 }
 
-// TestWriterErrorOffsetPointsAtFailure pins the reported byte offset to the
-// writer's logical position when the failure struck.
+// TestWriterErrorOffsetPointsAtFailure pins the reported record and byte
+// offset to the writer's logical position when the failure struck: frames
+// are written whole, so a writer that accepts the magic and the first frame
+// fails at the first record of the second frame, at the byte after frame 1.
 func TestWriterErrorOffsetPointsAtFailure(t *testing.T) {
-	// v1 writes are exactly v1RecordSize bytes after the 8-byte magic, so
-	// a writer that accepts the magic plus two records fails at record 2,
-	// offset 8 + 2*v1RecordSize.
-	fw := &flakyWriter{failAfter: 8 + 2*v1RecordSize}
-	w, err := NewWriterFormat(fw, FormatV1)
+	recs := synthStream(0, fileChunkSize+5)
+	frame1 := len(encodeV2(t, recs[:fileChunkSize]))
+	fw := &flakyWriter{failAfter: frame1}
+	w, err := NewWriter(fw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := synthStream(0, 5)
 	for i := range recs {
 		w.Consume(&recs[i])
 	}
@@ -216,82 +251,39 @@ func TestWriterErrorOffsetPointsAtFailure(t *testing.T) {
 	if err == nil {
 		t.Fatal("Close returned nil")
 	}
-	want := fmt.Sprintf("record 2 (byte offset %d)", 8+2*v1RecordSize)
+	want := fmt.Sprintf("record %d (byte offset %d)", fileChunkSize, frame1)
 	if !strings.Contains(err.Error(), want) {
 		t.Errorf("error %q does not contain %q", err, want)
 	}
-	if w.Count() != 5 {
-		t.Errorf("Count = %d, want 5 accepted records", w.Count())
+	if w.Count() != int64(len(recs)) {
+		t.Errorf("Count = %d, want %d accepted records", w.Count(), len(recs))
 	}
-	// Records 2..4 were accepted but never became durable.
-	if w.Dropped() != 3 {
-		t.Errorf("Dropped = %d, want 3", w.Dropped())
-	}
-}
-
-func TestParseFormat(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Format
-		err  bool
-	}{
-		{"v1", FormatV1, false},
-		{"V1", FormatV1, false},
-		{"VPTRC01", FormatV1, false},
-		{"v2", FormatV2, false},
-		{"", FormatV2, false},
-		{"v3", FormatV2, true},
-	}
-	for _, c := range cases {
-		got, err := ParseFormat(c.in)
-		if (err != nil) != c.err || got != c.want {
-			t.Errorf("ParseFormat(%q) = %v, %v; want %v, err=%v", c.in, got, err, c.want, c.err)
-		}
+	// The second frame's records were accepted but never became durable.
+	if w.Dropped() != 5 {
+		t.Errorf("Dropped = %d, want 5", w.Dropped())
 	}
 }
 
-// TestFileFormatsCarryIdenticalStreams writes one stream in both formats and
-// checks both readers reproduce it (v2 with positional Seq, which the
-// synthetic stream uses anyway).
+// TestFileFormatsCarryIdenticalStreams reads one stream from its VPTRC01
+// and VPTRC02 fixtures: both readers must reproduce it record for record,
+// and re-encoding it today must give the VPTRC02 fixture byte for byte.
 func TestFileFormatsCarryIdenticalStreams(t *testing.T) {
-	recs := synthStream(0, 500)
-	var v1buf, v2buf bytes.Buffer
-	w1, _ := NewWriterFormat(&v1buf, FormatV1)
-	w2, _ := NewWriterFormat(&v2buf, FormatV2)
-	for i := range recs {
-		w1.Consume(&recs[i])
-		w2.Consume(&recs[i])
-	}
-	if err := w1.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	v1Size, v2Size := v1buf.Len(), v2buf.Len()
-	r1, err := NewReader(&v1buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := NewReader(&v2buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got1, err := r1.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2, err := r2.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got1) != len(got2) || len(got1) != len(recs) {
-		t.Fatalf("lengths differ: v1=%d v2=%d want=%d", len(got1), len(got2), len(recs))
-	}
-	for i := range got1 {
-		if got1[i] != got2[i] {
-			t.Fatalf("record %d: v1 %+v, v2 %+v", i, got1[i], got2[i])
+	for path, want := range map[string]Format{fixtureV1: FormatV1, fixtureV2: FormatV2} {
+		r, err := NewReader(bytes.NewReader(readFixture(t, path)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Format() != want {
+			t.Errorf("%s: Format = %v, want %v", path, r.Format(), want)
 		}
 	}
-	t.Logf("500 records: v1 %d file bytes, v2 %d file bytes", v1Size, v2Size)
+	v1, v2 := fixtureRecords(t, fixtureV1), fixtureRecords(t, fixtureV2)
+	for i := range v1 {
+		if v1[i] != v2[i] {
+			t.Fatalf("record %d: v1 %+v, v2 %+v", i, v1[i], v2[i])
+		}
+	}
+	if !bytes.Equal(encodeV2(t, v1), readFixture(t, fixtureV2)) {
+		t.Error("re-encoding the fixture stream differs from the VPTRC02 fixture")
+	}
 }

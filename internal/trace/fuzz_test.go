@@ -10,7 +10,8 @@ import (
 )
 
 // FuzzCodecRoundTrip derives a pseudo-random record stream from the fuzz
-// input and checks encode→decode is the identity, for both codec variants.
+// input and checks encode→decode is the identity, with and without the seq
+// column.
 func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add(int64(0), uint16(1))
 	f.Add(int64(42), uint16(300))
@@ -28,7 +29,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		var enc chunkEncoder
 		out := make([]Record, n)
 		for _, withSeq := range []bool{true, false} {
-			data := enc.encode(nil, recs, 0, withSeq)
+			data := encodeRecords(&enc, nil, recs, 0, withSeq)
 			got, err := decodeChunk(out, data, 0, withSeq, true)
 			if err != nil {
 				t.Fatalf("withSeq=%v: decode: %v", withSeq, err)
@@ -56,8 +57,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 func FuzzChunkDecoder(f *testing.F) {
 	recs := synthStream(0, 64)
 	var enc chunkEncoder
-	f.Add(enc.encode(nil, recs, 0, true))
-	f.Add(enc.encode(nil, recs, 0, false))
+	f.Add(encodeRecords(&enc, nil, recs, 0, true))
+	f.Add(encodeRecords(&enc, nil, recs, 0, false))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	out := make([]Record, recorderChunkSize)
@@ -67,7 +68,7 @@ func FuzzChunkDecoder(f *testing.F) {
 			if err == nil {
 				// Whatever decoded must re-encode to a decodable chunk.
 				var e chunkEncoder
-				re := e.encode(nil, out[:n], 0, withSeq)
+				re := encodeRecords(&e, nil, out[:n], 0, withSeq)
 				if _, err := decodeChunk(out[:n], re, 0, withSeq, true); err != nil {
 					t.Fatalf("withSeq=%v: re-encode of decoded chunk failed: %v", withSeq, err)
 				}
@@ -124,8 +125,8 @@ func encodeV2FuzzSeed(recs []Record) []byte {
 	return buf.Bytes()
 }
 
-// FuzzFileRoundTrip round-trips a derived record stream through both file
-// formats.
+// FuzzFileRoundTrip round-trips a derived record stream through the file
+// format.
 func FuzzFileRoundTrip(f *testing.F) {
 	f.Add(int64(1), uint16(1))
 	f.Add(int64(7), uint16(500))
@@ -135,37 +136,32 @@ func FuzzFileRoundTrip(f *testing.F) {
 		recs := make([]Record, n)
 		for i := range recs {
 			recs[i] = randomRecord(rng, int64(i))
-			// Keep v1-representable ranges: v1 stores Phase as u16 and packs
-			// registers into 6 bits (both canonical for VM-produced traces).
-			recs[i].Phase = int(uint16(recs[i].Phase))
 		}
-		for _, format := range []Format{FormatV1, FormatV2} {
-			var buf bytes.Buffer
-			w, err := NewWriterFormat(&buf, format)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range recs {
-				w.Consume(&recs[i])
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-			r, err := NewReader(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := r.ReadAll()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != n {
-				t.Fatalf("%v: read %d records, want %d", format, len(got), n)
-			}
-			for i := range got {
-				if got[i] != recs[i] {
-					t.Fatalf("%v: record %d differs:\nwant %+v\ngot  %+v", format, i, recs[i], got[i])
-				}
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range recs {
+			w.Consume(&recs[i])
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReader(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != n {
+			t.Fatalf("read %d records, want %d", len(got), n)
+		}
+		for i := range got {
+			if got[i] != recs[i] {
+				t.Fatalf("record %d differs:\nwant %+v\ngot  %+v", i, recs[i], got[i])
 			}
 		}
 	})

@@ -65,7 +65,7 @@ func (rc *Recorder) MultiEval(cfgs ...EvalConfig) int64 {
 			nbatch++
 		}
 	}
-	if nbatch > 0 && !rc.scalarReplay {
+	if nbatch > 0 {
 		rc.multiEvalBatch(cfgs)
 	} else {
 		var scratch Record
@@ -78,9 +78,10 @@ func (rc *Recorder) MultiEval(cfgs ...EvalConfig) int64 {
 	return int64(len(cfgs) - 1)
 }
 
-// evalRecords runs one decoded chunk through every configuration's scalar
-// per-consumer loop — the reference evaluation kernel, also used for the
-// staging tail of an unsealed Recorder on the batch path.
+// evalRecords runs one decoded chunk through every configuration's
+// per-record consumer loop: the kernel of all-scalar configuration sets,
+// scalar consumers in a batch lane, and the staging tail of an unsealed
+// Recorder.
 func evalRecords(cfgs []EvalConfig, chunk []Record, scratch *Record) {
 	for _, cfg := range cfgs {
 		if cfg.Dirs == nil {
@@ -191,7 +192,7 @@ type evalLane struct {
 
 // eval runs one shared batch through the lane's configurations: batch
 // kernels over the columns (directive-carrying configurations see the
-// lane's patched Dir column), scalar consumers through the reference loop
+// lane's patched Dir column), scalar consumers through the per-record loop
 // over the batch materialized once into the lane's slab. The shared batch
 // itself is only read.
 func (l *evalLane) eval(shared *Batch) {

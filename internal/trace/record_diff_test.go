@@ -2,19 +2,19 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
 )
 
-// This file is the record-side differential suite: the fused column recording
-// path (RecordColumns staging + chunkEncoder.encodeCols + the encode-ahead
-// pipeline) must be byte-identical to the scalar reference path
-// (Record staging + chunkEncoder.encode), end to end — same chunks in the
-// Recorder, same frames in the trace file.
+// This file covers the record side: column staging, the encode-ahead
+// pipeline and the trace-file Writer's producer paths. Byte identity of
+// real recordings is pinned by the golden trace hash in internal/experiments.
 
-// colsOf stages recs into a fresh column stage, as a fused producer would.
+// colsOf stages recs into a fresh column stage, as a per-record producer
+// would.
 func colsOf(recs []Record, firstSeq int64) *RecordColumns {
 	st := newRecordColumns(len(recs))
 	st.FirstSeq = firstSeq
@@ -22,6 +22,18 @@ func colsOf(recs []Record, firstSeq int64) *RecordColumns {
 		st.appendRecord(&recs[i])
 	}
 	return st
+}
+
+// encodeRecords appends the chunk encoding of recs (stream position
+// firstSeq) to dst through the column encoder.
+func encodeRecords(enc *chunkEncoder, dst []byte, recs []Record, firstSeq int64, withSeq bool) []byte {
+	return enc.encodeCols(dst, colsOf(recs, firstSeq), withSeq)
+}
+
+// appendZigzag appends the zigzag varint of v to dst — the canonical
+// per-value encoding the speculative column emitters must reproduce.
+func appendZigzag(dst []byte, v int64) []byte {
+	return binary.AppendUvarint(dst, zigzag(v))
 }
 
 // widthStreams builds record streams engineered to drive each speculative
@@ -74,36 +86,6 @@ func widthStreams() map[string][]Record {
 	}
 }
 
-// TestEncodeColsMatchesEncode pins the codec twin-path contract: encoding a
-// staged column chunk must produce byte-for-byte the same output as encoding
-// the equivalent Record slice, for every column-width speculation path and
-// for random streams.
-func TestEncodeColsMatchesEncode(t *testing.T) {
-	streams := widthStreams()
-	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{1, 2, 100, recorderChunkSize} {
-		recs := make([]Record, n)
-		for i := range recs {
-			recs[i] = randomRecord(rng, int64(i))
-			if rng.Intn(4) == 0 {
-				recs[i].Seq = rng.Int63() - rng.Int63()
-			}
-		}
-		streams["random"+string(rune('a'+len(streams)))] = recs
-	}
-	for name, recs := range streams {
-		for _, withSeq := range []bool{true, false} {
-			var scalarEnc, colEnc chunkEncoder
-			want := scalarEnc.encode(nil, recs, 0, withSeq)
-			got := colEnc.encodeCols(nil, colsOf(recs, 0), withSeq)
-			if !bytes.Equal(want, got) {
-				t.Errorf("%s withSeq=%v: encodeCols differs from encode (%d vs %d bytes)",
-					name, withSeq, len(got), len(want))
-			}
-		}
-	}
-}
-
 // chunkBytes seals rc and collects every encoded chunk (copied, since walk
 // buffers are recycled).
 func chunkBytes(t *testing.T, rc *Recorder) [][]byte {
@@ -114,53 +96,6 @@ func chunkBytes(t *testing.T, rc *Recorder) [][]byte {
 		chunks = append(chunks, append([]byte(nil), data...))
 	})
 	return chunks
-}
-
-// TestFusedRecorderMatchesScalarRecord records one stream through the default
-// column path and the scalar-record reference path and requires the encoded
-// chunks to be byte-identical, resident and fully spilled.
-func TestFusedRecorderMatchesScalarRecord(t *testing.T) {
-	const n = 2*recorderChunkSize + 345
-	rng := rand.New(rand.NewSource(21))
-	recs := make([]Record, n)
-	for i := range recs {
-		recs[i] = randomRecord(rng, int64(i))
-	}
-	record := func(scalar bool, budget int64) *Recorder {
-		rc := NewRecorder()
-		rc.SetScalarRecord(scalar)
-		rc.SetMemBudget(budget)
-		for i := range recs {
-			rc.Consume(&recs[i])
-		}
-		t.Cleanup(func() { rc.Close() })
-		return rc
-	}
-	for _, budget := range []int64{0, 1} {
-		fused, scalar := record(false, budget), record(true, budget)
-		var fusedR capture
-		fused.Replay(&fusedR) // pre-seal replay: tail materialization path
-		if len(fusedR.recs) != n {
-			t.Fatalf("budget %d: pre-seal fused replay returned %d records, want %d", budget, len(fusedR.recs), n)
-		}
-		got, want := chunkBytes(t, fused), chunkBytes(t, scalar)
-		if len(got) != len(want) {
-			t.Fatalf("budget %d: fused wrote %d chunks, scalar %d", budget, len(got), len(want))
-		}
-		for i := range got {
-			if !bytes.Equal(got[i], want[i]) {
-				t.Fatalf("budget %d: chunk %d differs between fused and scalar-record", budget, i)
-			}
-		}
-		if budget > 0 && fused.SpilledChunks() == 0 {
-			t.Fatalf("budget %d: nothing spilled (spill path not exercised)", budget)
-		}
-		var scalarR capture
-		scalar.Replay(&scalarR)
-		if !reflect.DeepEqual(fusedR.recs, scalarR.recs) {
-			t.Fatalf("budget %d: fused replay differs from scalar-record replay", budget)
-		}
-	}
 }
 
 // TestColumnSinkMatchesScalarDelivery checks the ColumnSink adapter: a scalar
@@ -231,11 +166,11 @@ func TestEncodeAheadPipelineMatchesSequential(t *testing.T) {
 	}
 }
 
-// writeFile writes recs through w-building fn and returns the file bytes.
-func writeFile(t *testing.T, format Format, fill func(tw *Writer)) []byte {
+// writeFile fills a fresh Writer through fill and returns the file bytes.
+func writeFile(t *testing.T, fill func(tw *Writer)) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	tw, err := NewWriterFormat(&buf, format)
+	tw, err := NewWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +189,6 @@ func TestWriterProducerPathsMatch(t *testing.T) {
 	recs := make([]Record, n)
 	for i := range recs {
 		recs[i] = synthRecord(int64(i))
-		recs[i].Phase = int(uint16(recs[i].Phase)) // v1-representable
 	}
 	rc := NewRecorder()
 	for i := range recs {
@@ -263,54 +197,34 @@ func TestWriterProducerPathsMatch(t *testing.T) {
 	rc.Seal()
 	defer rc.Close()
 
-	for _, format := range []Format{FormatV1, FormatV2} {
-		scalar := writeFile(t, format, func(tw *Writer) {
-			for i := range recs {
-				tw.Consume(&recs[i])
-			}
-		})
-		batch := writeFile(t, format, func(tw *Writer) { rc.Replay(tw) })
-		if !bytes.Equal(scalar, batch) {
-			t.Errorf("%v: batch-replay file differs from scalar-consume file", format)
+	scalar := writeFile(t, func(tw *Writer) {
+		for i := range recs {
+			tw.Consume(&recs[i])
 		}
-		if format != FormatV2 {
-			continue
-		}
-		fused := writeFile(t, format, func(tw *Writer) {
-			st := tw.ColumnStage()
-			if st == nil {
-				t.Fatal("v2 writer returned nil ColumnStage")
+	})
+	batch := writeFile(t, func(tw *Writer) { rc.Replay(tw) })
+	if !bytes.Equal(scalar, batch) {
+		t.Error("batch-replay file differs from scalar-consume file")
+	}
+	fused := writeFile(t, func(tw *Writer) {
+		st := tw.ColumnStage()
+		for i := range recs {
+			if st.N == st.Cap() {
+				st = tw.FlushColumns()
 			}
-			for i := range recs {
-				if st.N == st.Cap() {
-					st = tw.FlushColumns()
-				}
-				st.appendRecord(&recs[i])
-			}
-			tw.FlushTail()
-		})
-		if !bytes.Equal(scalar, fused) {
-			t.Error("v2: fused column-staged file differs from scalar-consume file")
+			st.appendRecord(&recs[i])
 		}
+		tw.FlushTail()
+	})
+	if !bytes.Equal(scalar, fused) {
+		t.Error("fused column-staged file differs from scalar-consume file")
 	}
-
-	// v1 writers must refuse the column fast path (records go through the
-	// scalar reference loop).
-	var buf bytes.Buffer
-	tw, err := NewWriterFormat(&buf, FormatV1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tw.ColumnStage() != nil {
-		t.Error("v1 writer offered a column stage")
-	}
-	tw.Close()
 }
 
 // FuzzColumnEncodeRoundTrip drives arbitrary integer columns through the
 // speculative uniform-width encode path (appendDeltaCol/appendRawCol) and the
 // matching speculative decoders, checking the round trip is the identity and
-// the encoding matches the scalar varint reference byte for byte.
+// the encoding matches the canonical per-value varint byte for byte.
 func FuzzColumnEncodeRoundTrip(f *testing.F) {
 	f.Add(int64(0), uint16(1), int64(1), false)
 	f.Add(int64(5), uint16(300), int64(100), true)

@@ -18,12 +18,12 @@ import (
 // it to run the evaluation input once per benchmark and replay the recorded
 // stream for every threshold and prediction-engine configuration.
 //
-// Storage is structure-of-arrays: records are staged in a plain buffer one
-// chunk at a time and transposed into the packed columnar encoding of
+// Storage is structure-of-arrays: records are staged in columns one chunk
+// at a time (colstage.go) and encoded into the packed columnar form of
 // codec.go when the chunk fills (~10 bytes/record against the 56-byte
-// Record struct). Replay runs a decode-into-scratch hot loop that
-// materializes one Record per iteration, so consumers observe exactly the
-// live-run contract and never touch the encoded form. When a resident-bytes
+// Record struct). Replay hands batch kernels the decoded columns and
+// everything else one materialized Record per iteration, so consumers
+// observe exactly the live-run contract and never touch the encoded form. When a resident-bytes
 // budget is set, encoded chunks past the budget spill to an anonymous temp
 // file and stream back in sequential order during replay through a
 // double-buffered prefetcher (spill.go), so traces larger than RAM replay
@@ -35,8 +35,8 @@ import (
 // sequential spill I/O.
 const recorderChunkSize = 1 << 14
 
-// recordMemBytes is the in-memory size of one decoded Record, the AoS
-// footprint the columnar encoding is measured against.
+// recordMemBytes is the in-memory size of one decoded Record, the
+// array-of-structs footprint the columnar encoding is measured against.
 const recordMemBytes = int64(unsafe.Sizeof(Record{}))
 
 // rchunk is one encoded chunk: resident (data set) or spilled (data nil,
@@ -62,13 +62,11 @@ type rchunk struct {
 // internal/experiments drive every replay path from many goroutines to
 // catch any consumer that violates it.
 type Recorder struct {
-	cols       *RecordColumns // column staging (default fused recording mode)
-	tailSlab   *recSlab       // scratch for materializing the column tail in replays
-	staged     []Record       // scalar-record staging (bit-identical reference mode)
-	stagedSlab *recSlab       // pooled backing storage of staged; returned at Seal
-	enc        *chunkEncoder
-	chunks     []rchunk
-	nFlushed   int64 // records in flushed (encoded or encode-queued) chunks
+	cols     *RecordColumns // staging columns of the chunk being filled
+	tailSlab *recSlab       // scratch for materializing the staged tail in replays
+	enc      *chunkEncoder
+	chunks   []rchunk
+	nFlushed int64 // records in flushed (encoded or encode-queued) chunks
 
 	memBudget     int64 // resident encoded-bytes budget; <=0 = fully resident
 	residentBytes int64 // encoded bytes currently held in memory
@@ -91,10 +89,8 @@ type Recorder struct {
 	stalls      atomic.Int64 // flushes that blocked waiting for a free stage
 	encodeNanos atomic.Int64 // cumulative chunk-encode wall time
 
-	scalarRecord bool // stage full Records and encode per record (reference implementation)
-	scalarReplay bool // force the per-record Consumer path (reference implementation)
-	sealed       bool
-	passes       atomic.Int64 // full replay passes over the buffer, for amortization accounting
+	sealed bool
+	passes atomic.Int64 // full replay passes over the buffer, for amortization accounting
 }
 
 // NewRecorder returns an empty trace recorder.
@@ -111,24 +107,6 @@ func (rc *Recorder) SetMemBudget(bytes int64) {
 	rc.drainEncode()
 	rc.memBudget = bytes
 }
-
-// SetScalarReplay forces every replay pass onto the scalar per-record
-// Consumer path even for consumers that implement BatchConsumer. The batch
-// column kernels are the default; the scalar loop is the reference
-// implementation the batch path is differentially tested against, and this
-// switch is the escape hatch the -scalar-replay flags of vpreport and
-// vpserve expose. Set it before the Recorder is shared; replays only read it.
-func (rc *Recorder) SetScalarReplay(scalar bool) { rc.scalarReplay = scalar }
-
-// SetScalarRecord forces recording onto the scalar reference path: records
-// are staged as full Record structs and varint-encoded one at a time by
-// chunkEncoder.encode, exactly as before the fused column path existed. The
-// default column path (fused VM staging plus chunk-seal batch encoding and
-// the encode-ahead pipeline) is differentially tested to produce
-// byte-identical chunks; this switch is the escape hatch the -scalar-record
-// flags of vprun, vpreport and vpserve expose, and the reference the
-// equivalence suites diff against. Set it before the first Consume.
-func (rc *Recorder) SetScalarRecord(scalar bool) { rc.scalarRecord = scalar }
 
 // ChunksEncoded reports how many chunks have been encoded so far (resident
 // or spilled), the unit of the record-side observability metrics.
@@ -154,13 +132,12 @@ func (rc *Recorder) EncodeTime() time.Duration {
 // amortization metrics read it.
 func (rc *Recorder) Passes() int64 { return rc.passes.Load() }
 
-// stagedLen returns the number of records in the staging tail (scalar or
-// column, whichever is active).
+// stagedLen returns the number of records in the staging tail.
 func (rc *Recorder) stagedLen() int {
 	if rc.cols != nil {
 		return rc.cols.N
 	}
-	return len(rc.staged)
+	return 0
 }
 
 // Len returns the number of recorded records.
@@ -225,9 +202,6 @@ func (rc *Recorder) Seal() {
 		rc.ahead.stop()
 		rc.ahead = nil
 	}
-	if len(rc.staged) > 0 {
-		rc.flushStaged()
-	}
 	if rc.cols != nil {
 		if rc.cols.N > 0 {
 			rc.nFlushed += int64(rc.cols.N)
@@ -235,11 +209,6 @@ func (rc *Recorder) Seal() {
 		}
 		putCols(rc.cols)
 		rc.cols = nil
-	}
-	rc.staged = nil
-	if rc.stagedSlab != nil {
-		putSlab(rc.stagedSlab)
-		rc.stagedSlab = nil
 	}
 	if rc.tailSlab != nil {
 		putSlab(rc.tailSlab)
@@ -268,35 +237,21 @@ func (rc *Recorder) Close() error {
 	return err
 }
 
-// Consume implements Consumer by appending a copy of r. On the default
-// column path the record is destructured straight into the staging columns
-// (so scalar producers and the fused VM loop share one representation); in
-// scalar-record mode it is staged as a full Record, the reference path.
+// Consume implements Consumer by appending a copy of r: the record is
+// destructured straight into the staging columns, so per-record producers
+// (fan-outs through the VM's step loop) and the fused VM loop share one
+// representation.
 func (rc *Recorder) Consume(r *Record) {
 	if rc.sealed {
 		panic("trace: Consume on a sealed Recorder (recording after publication)")
 	}
-	if !rc.scalarRecord {
-		st := rc.cols
-		if st == nil {
-			st = rc.newStage()
-		}
-		st.appendRecord(r)
-		if st.N == st.Cap() {
-			rc.FlushColumns()
-		}
-		return
+	st := rc.cols
+	if st == nil {
+		st = rc.newStage()
 	}
-	if rc.staged == nil {
-		// The ~0.9 MiB staging buffer comes from the replay slab pool (same
-		// shape, same lifetime discipline) and returns there at Seal, so
-		// recording a trace does not allocate it fresh per Recorder.
-		rc.stagedSlab = getSlab()
-		rc.staged = rc.stagedSlab.recs[:0]
-	}
-	rc.staged = append(rc.staged, *r)
-	if len(rc.staged) == recorderChunkSize {
-		rc.flushStaged()
+	st.appendRecord(r)
+	if st.N == st.Cap() {
+		rc.FlushColumns()
 	}
 }
 
@@ -310,12 +265,11 @@ func (rc *Recorder) newStage() *RecordColumns {
 }
 
 // ColumnStage implements ColumnAppender: it returns the live staging
-// columns for fused recording, or nil when the recorder is sealed or in
-// scalar-record mode (sending the producer down the per-record reference
-// path). The producer appends by writing element N of every column and
+// columns for fused recording, or nil once the recorder is sealed (sending
+// the producer down the per-record path, whose Consume panics). The producer appends by writing element N of every column and
 // incrementing N, calling FlushColumns when N reaches Cap.
 func (rc *Recorder) ColumnStage() *RecordColumns {
-	if rc.sealed || rc.scalarRecord {
+	if rc.sealed {
 		return nil
 	}
 	if rc.cols == nil {
@@ -409,18 +363,6 @@ func (rc *Recorder) drainEncode() {
 // right-sized chunk copy, measured by BenchmarkVMStepsRecording.
 var encoderPool = sync.Pool{New: func() any { return new(chunkEncoder) }}
 
-// flushStaged transposes the scalar staging buffer into one encoded chunk —
-// the per-record reference encoder of scalar-record mode.
-func (rc *Recorder) flushStaged() {
-	start := time.Now()
-	enc := rc.encoder()
-	enc.buf = enc.encode(enc.buf[:0], rc.staged, rc.nFlushed, true)
-	rc.nFlushed += int64(len(rc.staged))
-	rc.appendEncoded(enc.buf, len(rc.staged))
-	rc.encodeNanos.Add(int64(time.Since(start)))
-	rc.staged = rc.staged[:0]
-}
-
 // appendEncoded retains one encoded chunk resident — or spills it when past
 // the memory budget — and appends it to the chunk index. Called inline or
 // from the encode-ahead goroutine, always in stream order; readers drain
@@ -455,13 +397,12 @@ func (rc *Recorder) appendEncoded(data []byte, n int) {
 	rc.chunksEncoded++
 }
 
-// tailRecords returns the partially filled staging tail as records: the
-// scalar staging buffer directly, or the column stage materialized into
-// pooled scratch (valid until the next Consume or flush). Sealed recorders
-// have no tail.
+// tailRecords returns the partially filled staging tail as records,
+// materialized from the column stage into pooled scratch (valid until the
+// next Consume or flush). Sealed recorders have no tail.
 func (rc *Recorder) tailRecords() []Record {
 	if rc.cols == nil || rc.cols.N == 0 {
-		return rc.staged
+		return nil
 	}
 	if rc.tailSlab == nil {
 		rc.tailSlab = getSlab()
@@ -476,7 +417,7 @@ func (rc *Recorder) tailRecords() []Record {
 // double-buffered prefetcher so decode of chunk k overlaps the read of
 // chunk k+1. fn must fully consume data before returning (the prefetch
 // buffers are recycled). The staging tail is NOT walked — callers feed
-// rc.staged directly after the walk.
+// tailRecords directly after the walk.
 func (rc *Recorder) walkChunks(fn func(data []byte, n int, firstSeq int64)) {
 	// The prefetch goroutine only helps when another CPU can run it; on a
 	// single-core machine it is pure scheduling overhead, so read inline.
@@ -734,11 +675,11 @@ func (rc *Recorder) walkBatches(fn func(b *Batch)) {
 		fn)
 }
 
-// batchable returns the consumers as batch kernels when the batch path is
-// enabled and every consumer supports it, nil otherwise (mixed fan-outs
-// fall back to the scalar walk so all consumers observe one decode).
-func (rc *Recorder) batchable(consumers []Consumer) []BatchConsumer {
-	if rc.scalarReplay || len(consumers) == 0 {
+// batchable returns the consumers as batch kernels when every consumer
+// supports it, nil otherwise (mixed fan-outs take the per-record walk so
+// all consumers observe one decode).
+func batchable(consumers []Consumer) []BatchConsumer {
+	if len(consumers) == 0 {
 		return nil
 	}
 	bcs := make([]BatchConsumer, len(consumers))
@@ -763,7 +704,7 @@ func (rc *Recorder) Replay(consumers ...Consumer) {
 	rc.passes.Add(1)
 	rc.drainEncode()
 	staged := rc.tailRecords()
-	if bcs := rc.batchable(consumers); bcs != nil {
+	if bcs := batchable(consumers); bcs != nil {
 		rc.walkBatches(func(b *Batch) {
 			for _, c := range bcs {
 				c.ConsumeBatch(b)
@@ -814,7 +755,7 @@ func (rc *Recorder) ReplayDirs(dirs []isa.Directive, consumers ...Consumer) {
 	rc.passes.Add(1)
 	rc.drainEncode()
 	staged := rc.tailRecords()
-	if bcs := rc.batchable(consumers); bcs != nil {
+	if bcs := batchable(consumers); bcs != nil {
 		rc.walkBatches(func(b *Batch) {
 			// The Dir column is batch-owned decode scratch (rewritten on
 			// the next decode), so the patch writes it in place.

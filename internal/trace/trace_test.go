@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -117,28 +119,17 @@ func TestFileRoundTripQuick(t *testing.T) {
 
 // TestFileV1RoundTripArbitrarySeq is the VPTRC01 compatibility regression
 // test: the legacy format stores Seq on disk verbatim, so arbitrary
-// (non-positional) Seq values must survive a v1 round trip even though the
-// v2 format derives Seq from position.
+// (non-positional) Seq values in a v1 file must read back unchanged even
+// though the v2 format derives Seq from position.
 func TestFileV1RoundTripArbitrarySeq(t *testing.T) {
-	recs := sampleRecords()
-	recs[0].Seq = 1 << 40
-	recs[1].Seq = -7
-	recs[2].Seq = 0
-	recs[3].Seq = 999999999
-	recs[4].Seq = 42
-
-	var buf bytes.Buffer
-	w, err := NewWriterFormat(&buf, FormatV1)
-	if err != nil {
-		t.Fatal(err)
+	want := fixtureRecords(t, fixtureV2)
+	data := readFixture(t, fixtureV1)
+	seqs := []int64{1 << 40, -7, 0, 999999999, 42}
+	for i, seq := range seqs {
+		binary.LittleEndian.PutUint64(data[8+i*v1RecordSize+8:], uint64(seq))
+		want[i].Seq = seq
 	}
-	for i := range recs {
-		w.Consume(&recs[i])
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(&buf)
+	r, err := NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,13 +140,8 @@ func TestFileV1RoundTripArbitrarySeq(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(recs) {
-		t.Fatalf("read %d records, want %d", len(got), len(recs))
-	}
-	for i := range recs {
-		if got[i] != recs[i] {
-			t.Errorf("record %d: got %+v want %+v", i, got[i], recs[i])
-		}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("v1 records with rewritten Seq differ from the expected stream")
 	}
 }
 
@@ -214,7 +200,22 @@ func TestReaderDetectsTruncation(t *testing.T) {
 	var rec Record
 	err = r.Next(&rec)
 	if err == nil || errors.Is(err, io.EOF) {
-		t.Errorf("truncated record: err = %v, want non-EOF error", err)
+		t.Errorf("truncated v2 frame: err = %v, want non-EOF error", err)
+	}
+
+	// A v1 file cut inside its last record reads every whole record, then
+	// reports the truncation.
+	v1 := readFixture(t, fixtureV1)
+	r, err = NewReader(bytes.NewReader(v1[:len(v1)-3]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.ReadAll()
+	if err == nil || errors.Is(err, io.EOF) {
+		t.Errorf("truncated v1 record: err = %v, want non-EOF error", err)
+	}
+	if want := fixtureLen - 1; len(got) != want {
+		t.Errorf("truncated v1 file: read %d whole records, want %d", len(got), want)
 	}
 }
 
@@ -233,12 +234,7 @@ func TestReaderCleanEOF(t *testing.T) {
 }
 
 func TestReaderRejectsCorruptOpcode(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriterFormat(&buf, FormatV1)
-	recs := sampleRecords()
-	w.Consume(&recs[0])
-	w.Close()
-	b := buf.Bytes()
+	b := readFixture(t, fixtureV1)
 	b[8+32] = 0xee // opcode byte of first v1 record
 	r, err := NewReader(bytes.NewReader(b))
 	if err != nil {

@@ -21,8 +21,9 @@ import (
 // so each step checks nothing but the PC bound and the halt flag. Limit
 // errors still fire at exactly the step the reference loop would fail, with
 // the same message. stepFused must stay semantically identical to step; the
-// differential suites byte-diff the recorded chunks against the
-// SetScalarRecord reference across the whole workload registry.
+// re-execution tests replay fused recordings against the same consumers fed
+// live through step (a plain ConsumerFunc forces that loop), and a golden
+// hash pins one benchmark's recorded trace file byte for byte.
 
 // runFused executes until HALT or a limit, appending one column row per
 // retired instruction. The caller flushes the partial tail.

@@ -305,7 +305,7 @@ func (m *Machine) Run() error {
 	// the dispatch loop that stores destructured record fields straight
 	// into staging columns — no Record materialization, no interface call
 	// per step. Fault injection needs its per-step hook, so an armed plan
-	// keeps the reference loop.
+	// keeps the per-record loop.
 	if !inject && len(m.consumers) == 1 {
 		switch c := m.consumers[0].(type) {
 		case trace.ColumnAppender:

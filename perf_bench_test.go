@@ -7,6 +7,7 @@ package repro
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/experiments"
 	"repro/internal/isa"
@@ -64,10 +65,13 @@ func BenchmarkVMStepsRecording(b *testing.B) {
 	reportMIPS(b, total)
 }
 
-// BenchmarkVMStepsRecordingScalar measures the same recording run forced
-// onto the scalar per-record reference path (-scalar-record). The ratio
-// scalar/fused is the recording speedup bench_smoke.sh gates on — a
-// machine-independent measure of what the fused execute+encode path buys.
+// BenchmarkVMStepsRecordingScalar measures the same recording run through
+// the VM's per-record step loop: wrapping the Recorder in a plain
+// ConsumerFunc hides its column stage, so every retired instruction is
+// materialized as a Record and delivered through Consume into the same
+// Recorder. The ratio scalar/fused is the recording speedup bench_smoke.sh
+// gates on — a machine-independent measure of what the fused
+// execute+encode loop buys.
 func BenchmarkVMStepsRecordingScalar(b *testing.B) {
 	prog, err := workload.Build("compress", workload.EvaluationInput())
 	if err != nil {
@@ -77,8 +81,7 @@ func BenchmarkVMStepsRecordingScalar(b *testing.B) {
 	var total int64
 	for i := 0; i < b.N; i++ {
 		rec := trace.NewRecorder()
-		rec.SetScalarRecord(true)
-		n, err := workload.Run(prog, rec)
+		n, err := workload.Run(prog, trace.ConsumerFunc(rec.Consume))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -252,99 +255,85 @@ func BenchmarkMultiEvalSweep(b *testing.B) {
 	})
 }
 
-// BenchmarkTraceStore measures the columnar trace store against the AoS
-// layout it replaced: walk throughput for the resident AoS, resident
-// columnar, and fully-spilled columnar stores, plus serialization cost per
-// record for the VPTRC01 and VPTRC02 file formats. The walk legs report
-// memB/rec (in-memory footprint per record); the disk legs report diskB/rec.
-// scripts/bench_smoke.sh gates on walk-columnar staying within 5% of
-// walk-aos and on the ≥3x memory / ≥2x disk compression ratios.
+// BenchmarkTraceStore measures the columnar trace store against the plain
+// array-of-structs layout it replaced: walk throughput for a resident
+// []trace.Record slice, the resident columnar store and the fully-spilled
+// columnar store, plus serialization cost per record for the VPTRC02 file
+// format. The walk legs report memB/rec (in-memory footprint per record);
+// the disk leg reports diskB/rec. scripts/bench_smoke.sh gates on the
+// columnar walk against the slice walk and on ≥3x memory / ≥2x disk
+// compression against the 56-byte Record and the 40-byte VPTRC01 record.
 func BenchmarkTraceStore(b *testing.B) {
 	prog, err := workload.Build("compress", workload.EvaluationInput())
 	if err != nil {
 		b.Fatal(err)
 	}
-	aos := trace.NewAoSRecorder()
 	col := trace.NewRecorder()
 	spill := trace.NewRecorder()
 	spill.SetMemBudget(1)
-	if _, err := workload.Run(prog, trace.Tee{aos, col, spill}); err != nil {
+	if _, err := workload.Run(prog, trace.Tee{col, spill}); err != nil {
 		b.Fatal(err)
 	}
-	aos.Seal()
 	col.Seal()
 	spill.Seal()
 	b.Cleanup(func() { col.Close(); spill.Close() })
 	if spill.SpilledChunks() == 0 {
 		b.Fatal("spill recorder did not spill")
 	}
+	recs := make([]trace.Record, 0, col.Len())
+	col.Replay(trace.ConsumerFunc(func(r *trace.Record) { recs = append(recs, *r) }))
 
-	type replayer interface {
-		Replay(...trace.Consumer)
-		Len() int64
-		Bytes() int64
-	}
-	walk := func(rc replayer) func(b *testing.B) {
+	walk := func(replay func(trace.Consumer), memBytes func() int64) func(b *testing.B) {
 		return func(b *testing.B) {
 			var total, seen int64
 			for i := 0; i < b.N; i++ {
-				rc.Replay(trace.ConsumerFunc(func(r *trace.Record) { seen++ }))
-				total += rc.Len()
+				replay(trace.ConsumerFunc(func(r *trace.Record) { seen++ }))
+				total += int64(len(recs))
 			}
 			b.StopTimer()
 			if seen != total {
 				b.Fatalf("replayed %d records, want %d", seen, total)
 			}
 			reportMIPS(b, total)
-			b.ReportMetric(float64(rc.Bytes())/float64(rc.Len()), "memB/rec")
+			b.ReportMetric(float64(memBytes())/float64(len(recs)), "memB/rec")
 		}
 	}
-	b.Run("walk-aos", walk(aos))
-	b.Run("walk-columnar", walk(col))
-	b.Run("walk-spill", func(b *testing.B) {
-		var total, seen int64
+	b.Run("walk-aos", walk(func(c trace.Consumer) {
+		for i := range recs {
+			c.Consume(&recs[i])
+		}
+	}, func() int64 { return int64(len(recs)) * int64(unsafe.Sizeof(trace.Record{})) }))
+	b.Run("walk-columnar", walk(func(c trace.Consumer) { col.Replay(c) }, col.Bytes))
+	// Bytes() is ~0 for a fully spilled store; the honest footprint is the
+	// replay working set (resident chunks + double-buffered readback).
+	b.Run("walk-spill", walk(func(c trace.Consumer) { spill.Replay(c) }, spill.ReplayResidentBytes))
+
+	b.Run("disk-v2", func(b *testing.B) {
+		var total int64
+		var bytes int64
 		for i := 0; i < b.N; i++ {
-			spill.Replay(trace.ConsumerFunc(func(r *trace.Record) { seen++ }))
-			total += spill.Len()
+			cw := &countWriter{}
+			tw, err := trace.NewWriter(cw)
+			if err != nil {
+				b.Fatal(err)
+			}
+			col.Replay(tw)
+			if err := tw.Close(); err != nil {
+				b.Fatal(err)
+			}
+			total += tw.Count()
+			bytes = cw.n
 		}
 		b.StopTimer()
-		if seen != total {
-			b.Fatalf("replayed %d records, want %d", seen, total)
-		}
 		reportMIPS(b, total)
-		// Bytes() is ~0 for a fully spilled store; the honest footprint is
-		// the replay working set (resident chunks + double-buffered readback).
-		b.ReportMetric(float64(spill.ReplayResidentBytes())/float64(spill.Len()), "memB/rec")
+		b.ReportMetric(float64(bytes)/float64(col.Len()), "diskB/rec")
 	})
-
-	disk := func(format trace.Format) func(b *testing.B) {
-		return func(b *testing.B) {
-			var total int64
-			var bytes int64
-			for i := 0; i < b.N; i++ {
-				cw := &countWriter{}
-				tw, err := trace.NewWriterFormat(cw, format)
-				if err != nil {
-					b.Fatal(err)
-				}
-				col.Replay(tw)
-				if err := tw.Close(); err != nil {
-					b.Fatal(err)
-				}
-				total += tw.Count()
-				bytes = cw.n
-			}
-			b.StopTimer()
-			reportMIPS(b, total)
-			b.ReportMetric(float64(bytes)/float64(col.Len()), "diskB/rec")
-		}
-	}
-	b.Run("disk-v1", disk(trace.FormatV1))
-	b.Run("disk-v2", disk(trace.FormatV2))
 }
 
 // BenchmarkBatchKernels measures the batch column-kernel replay path
-// against the scalar per-record reference on the same sealed trace. The
+// against per-record replay of the same consumer on the same sealed trace
+// (a plain ConsumerFunc hides the batch entry point, so Replay takes the
+// per-record walk). The
 // walkonly pair is the machine-independent headline (a near-free consumer,
 // so the ratio isolates decode + dispatch — the overhead the batch path
 // removes); scripts/bench_smoke.sh gates on it staying ≥ 2x. The profiler
@@ -361,17 +350,16 @@ func BenchmarkBatchKernels(b *testing.B) {
 	}
 	rec.Seal()
 
-	pair := func(name string, run func(b *testing.B)) {
-		for _, leg := range []struct {
-			suffix string
-			scalar bool
-		}{{"scalar", true}, {"batch", false}} {
-			b.Run(name+"-"+leg.suffix, func(b *testing.B) {
-				rec.SetScalarReplay(leg.scalar)
-				defer rec.SetScalarReplay(false)
-				run(b)
-			})
-		}
+	// pair runs one consumer family twice: the scalar leg delivers through
+	// the consumer's per-record Consume, the batch leg hands Replay the
+	// consumer itself.
+	pair := func(name string, run func(b *testing.B, deliver func(trace.BatchConsumer) trace.Consumer)) {
+		b.Run(name+"-scalar", func(b *testing.B) {
+			run(b, func(c trace.BatchConsumer) trace.Consumer { return trace.ConsumerFunc(c.Consume) })
+		})
+		b.Run(name+"-batch", func(b *testing.B) {
+			run(b, func(c trace.BatchConsumer) trace.Consumer { return c })
+		})
 	}
 
 	reportNsPerRec := func(b *testing.B, total int64) {
@@ -381,11 +369,11 @@ func BenchmarkBatchKernels(b *testing.B) {
 		}
 	}
 
-	pair("walkonly", func(b *testing.B) {
+	pair("walkonly", func(b *testing.B, deliver func(trace.BatchConsumer) trace.Consumer) {
 		var total int64
 		for i := 0; i < b.N; i++ {
 			var ct trace.Counter
-			rec.Replay(&ct)
+			rec.Replay(deliver(&ct))
 			if ct.Records != rec.Len() {
 				b.Fatalf("replayed %d records, want %d", ct.Records, rec.Len())
 			}
@@ -394,23 +382,23 @@ func BenchmarkBatchKernels(b *testing.B) {
 		b.StopTimer()
 		reportNsPerRec(b, total)
 	})
-	pair("profiler", func(b *testing.B) {
+	pair("profiler", func(b *testing.B, deliver func(trace.BatchConsumer) trace.Consumer) {
 		var total int64
 		for i := 0; i < b.N; i++ {
-			rec.Replay(profiler.NewCollector())
+			rec.Replay(deliver(profiler.NewCollector()))
 			total += rec.Len()
 		}
 		b.StopTimer()
 		reportNsPerRec(b, total)
 	})
-	pair("engine", func(b *testing.B) {
+	pair("engine", func(b *testing.B, deliver func(trace.BatchConsumer) trace.Consumer) {
 		var total int64
 		for i := 0; i < b.N; i++ {
 			table, err := predictor.NewTable(predictor.Stride, predictor.DefaultTableConfig)
 			if err != nil {
 				b.Fatal(err)
 			}
-			rec.Replay(vpsim.NewProfileEngine(table))
+			rec.Replay(deliver(vpsim.NewProfileEngine(table)))
 			total += rec.Len()
 		}
 		b.StopTimer()
@@ -431,7 +419,7 @@ func (w *countWriter) Write(p []byte) (int, error) {
 // a cold cache, sequentially versus on the fan-out scheduler. The parallel
 // leg's win tracks the core count (it is ~1× on a single-CPU machine); the
 // rendered artifacts are bit-identical either way (see
-// experiments.TestParallelRegistryDeterminism).
+// experiments.TestRegistryMatchesCommittedResults).
 func BenchmarkAllArtifactsParallel(b *testing.B) {
 	run := func(b *testing.B, workers int) {
 		for i := 0; i < b.N; i++ {

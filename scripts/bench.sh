@@ -5,8 +5,9 @@
 # timings came from; the smoke gates read num_cpu from here), "benchmarks"
 # (simulation substrate + experiment drivers), "speedups" (paired
 # baseline-vs-optimized ratios), "trace_storage" (columnar compression byte
-# counts), "batch_kernels" (scalar vs batch replay ns/rec + speedup ratios),
-# "recording" (fused vs scalar-record execute+encode ns/op + speedup),
+# counts), "batch_kernels" (per-record vs batch replay ns/rec + speedup
+# ratios), "recording" (fused execute+encode loop vs the VM's per-record
+# step loop into the same Recorder, ns/op + speedup),
 # "server" (vpserve throughput, requests/sec for cached vs uncached evaluate
 # calls), and "cluster" (vpcoord sharded-sweep throughput at one vs two
 # worker nodes).
@@ -66,12 +67,12 @@ END {
 }
 
 # Summarize the trace-storage footprint from the BenchmarkTraceStore metric
-# columns: bytes/record in memory (AoS struct vs columnar encoding) and on
-# disk (VPTRC01 vs VPTRC02), with the compression ratios bench_smoke.sh
-# gates on. These are deterministic byte counts, not timings, so they are
-# machine-independent.
+# columns: bytes/record in memory (the 56-byte Record struct vs the columnar
+# encoding) and on disk (the fixed 40-byte VPTRC01 record vs VPTRC02), with
+# the compression ratios bench_smoke.sh gates on. These are deterministic
+# byte counts, not timings, so they are machine-independent.
 emit_trace_storage() {
-    awk '
+    awk -v aos=56 -v v1=40 '
 /^BenchmarkTraceStore\// {
     name = $1
     sub(/-[0-9]+$/, "", name)
@@ -81,11 +82,9 @@ emit_trace_storage() {
     }
 }
 END {
-    aos = mem["BenchmarkTraceStore/walk-aos"]
     col = mem["BenchmarkTraceStore/walk-columnar"]
-    v1 = disk["BenchmarkTraceStore/disk-v1"]
     v2 = disk["BenchmarkTraceStore/disk-v2"]
-    if (aos == "" || col == "" || v1 == "" || v2 == "" || col + 0 == 0 || v2 + 0 == 0) exit
+    if (col == "" || v2 == "" || col + 0 == 0 || v2 + 0 == 0) exit
     printf "    \"mem_bytes_per_record_aos\": %s,\n", aos
     printf "    \"mem_bytes_per_record_columnar\": %s,\n", col
     printf "    \"mem_compression_ratio\": %.3f,\n", aos / col
@@ -97,7 +96,7 @@ END {
 }
 
 # Summarize the batch column-kernel replay path from the BenchmarkBatchKernels
-# ns/rec metrics: scalar (per-record reference) vs batch ns/rec for each
+# ns/rec metrics: scalar (per-record Consume) vs batch ns/rec for each
 # consumer pair, plus the walkonly speedup ratio bench_smoke.sh gates on.
 # Both legs of a pair walk the same sealed trace in the same process, so the
 # ratio is machine-independent even though the ns/rec values are not.
@@ -129,11 +128,11 @@ END {
 ' "$1"
 }
 
-# Summarize the recording path: the fused execute+encode column path
-# (BenchmarkVMStepsRecording, the default) against the scalar per-record
-# reference (BenchmarkVMStepsRecordingScalar). Both legs execute the same
-# guest on the same machine, so the ns/op ratio is the machine-independent
-# recording speedup bench_smoke.sh gates on.
+# Summarize the recording path: the fused execute+encode column loop
+# (BenchmarkVMStepsRecording) against the VM's per-record step loop feeding
+# the same Recorder through Consume (BenchmarkVMStepsRecordingScalar). Both
+# legs execute the same guest on the same machine, so the ns/op ratio is
+# the machine-independent recording speedup bench_smoke.sh gates on.
 emit_recording() {
     awk '
 /^BenchmarkVMStepsRecording(Scalar)?(-[0-9]+)?[ \t]/ {
