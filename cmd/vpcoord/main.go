@@ -40,16 +40,12 @@ var version = "dev"
 
 func main() {
 	var (
-		addr       = flag.String("addr", ":9090", "listen address")
-		hbTimeout  = flag.Duration("heartbeat-timeout", 10*time.Second, "expire a node that has not heartbeated for this long")
-		vnodes     = flag.Int("vnodes", 0, "virtual nodes per worker on the hash ring (0 = default 64)")
-		loadFactor = flag.Float64("load-factor", 1.25, "bounded-load spill factor (<= 0 disables spill)")
-		maxShards  = flag.Int("max-shards", 0, "max nodes one sweep fans out to (0 = no cap)")
-		hedgeAfter = flag.Duration("hedge-after", 0, "fire a duplicate of a straggling shard on the next node after this delay (0 = off)")
-		timeout    = flag.Duration("timeout", 2*time.Minute, "per-request timeout, re-dispatches included")
-		retries    = flag.Int("node-retries", 1, "HTTP retries per node before failing over")
-		stateDir   = flag.String("state-dir", "", "persist the completed-shard-key set (worker restart reconciliation) under this directory")
-		faultSpec  = flag.String("faults", "", "arm a fault-injection plan, e.g. 'cluster.dispatch:error:n=1' (also via VP_FAULTS)")
+		addr      = flag.String("addr", ":9090", "listen address")
+		hbTimeout = flag.Duration("heartbeat-timeout", 10*time.Second, "expire a node that has not heartbeated for this long")
+		timeout   = flag.Duration("timeout", 2*time.Minute, "per-request timeout, re-dispatches included")
+		retries   = flag.Int("node-retries", 1, "HTTP retries per node before failing over")
+		stateDir  = flag.String("state-dir", "", "persist the completed-shard-key set (worker restart reconciliation) under this directory")
+		faultSpec = flag.String("faults", "", "arm a fault-injection plan, e.g. 'cluster.dispatch:error:n=1' (also via VP_FAULTS)")
 
 		showVersion = flag.Bool("version", false, "print version and exit")
 	)
@@ -75,10 +71,6 @@ func main() {
 	co, err := cluster.Open(cluster.Config{
 		Version:          buildinfo.Resolve(version),
 		HeartbeatTimeout: *hbTimeout,
-		VirtualNodes:     *vnodes,
-		LoadFactor:       *loadFactor,
-		MaxShards:        *maxShards,
-		HedgeAfter:       *hedgeAfter,
 		RequestTimeout:   *timeout,
 		StateDir:         *stateDir,
 		Client:           client.Config{MaxRetries: *retries},

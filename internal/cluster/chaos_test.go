@@ -118,21 +118,3 @@ func TestClusterMergeFault(t *testing.T) {
 		t.Errorf("sweep after merge fault differs from single-node run:\n got: %s\nwant: %s", got, want)
 	}
 }
-
-// TestClusterHedgedSweep: with an aggressive hedge delay the sweep still
-// completes correctly; hedging may only change which node computes a shard,
-// never the bytes that come back.
-func TestClusterHedgedSweep(t *testing.T) {
-	req := server.EvaluateRequest{Bench: "compress", Thresholds: []float64{90, 70, 50}}
-	single := newTestWorker(t)
-	want := evaluateResultJSON(t, single.ts.URL, req)
-
-	co, cts, _ := newTestCluster(t, 2, Config{HedgeAfter: 1}) // 1ns: hedge everything
-	got := evaluateResultJSON(t, cts.URL, req)
-	if !bytes.Equal(got, want) {
-		t.Errorf("hedged sweep differs from single-node run:\n got: %s\nwant: %s", got, want)
-	}
-	if n := co.Metrics().HedgesFired.Load(); n < 1 {
-		t.Errorf("hedges_fired = %d, want >= 1 with a 1ns hedge delay", n)
-	}
-}

@@ -7,25 +7,22 @@
 //     moment their SIGTERM drain begins; missed heartbeats expire a node.
 //   - consistent-hash routing keyed by the program fingerprint (or the
 //     benchmark/input cache key), so repeat jobs land on the node that
-//     already holds the recorded trace and profile image — cache affinity —
-//     with bounded-load spill to the next ring node when the primary is
-//     saturated.
+//     already holds the recorded trace and profile image — cache affinity.
 //   - scatter-gather sweeps: an EvaluateRequest.Thresholds sweep is split
 //     into contiguous shards, one per live node, evaluated in parallel, and
 //     the partial report.Runs are merged deterministically — the merged
 //     report is byte-identical to the same sweep on a single node.
 //   - failover: a dead or failing node's shards are re-dispatched to
-//     survivors (the per-node clients bring internal/client's retry and
-//     circuit-breaker discipline), with optional hedged requests for tail
-//     latency, and fault-injection points (cluster.dispatch, cluster.merge)
-//     driving the chaos suite.
+//     survivors in ring order (the per-node clients bring internal/client's
+//     retry and circuit-breaker discipline), with fault-injection points
+//     (cluster.dispatch, cluster.merge) driving the chaos suite.
 //
 // Endpoints:
 //
 //	GET  /healthz               coordinator liveness
 //	GET  /readyz                readiness (503 until ≥ 1 live node)
 //	GET  /metrics               nodes_live, shards_dispatched, shards_redispatched,
-//	                            hedges_fired, dispatch/merge latency histograms
+//	                            dispatch/merge latency histograms
 //	POST /cluster/v1/register   worker registration {base_url, version}
 //	POST /cluster/v1/heartbeat  worker liveness refresh {node_id}
 //	POST /cluster/v1/deregister worker drain notification {node_id}
@@ -62,33 +59,23 @@ func init() {
 	faults.Register(PointDispatch, PointMerge)
 }
 
+const (
+	// virtualNodes is the ring points each live node contributes.
+	virtualNodes = 64
+	// completedKeys bounds the completed-shard-key set the reconcile
+	// handshake consults (FIFO eviction).
+	completedKeys = 4096
+)
+
 // Config sizes the coordinator. Zero values take the documented defaults.
 type Config struct {
 	// Version is the coordinator's build version. Node registrations
 	// reporting a different version are accepted but logged and counted —
 	// a mixed-version fleet is how a bad rollout looks.
 	Version string
-	// HeartbeatTimeout expires a node that has not heartbeated (default 10s).
+	// HeartbeatTimeout expires a node that has not heartbeated (default
+	// 10s). Registering nodes are told to heartbeat every third of it.
 	HeartbeatTimeout time.Duration
-	// HeartbeatInterval is the cadence handed to registering nodes
-	// (default HeartbeatTimeout/3).
-	HeartbeatInterval time.Duration
-	// VirtualNodes is the ring points per node (default 64).
-	VirtualNodes int
-	// LoadFactor bounds the affinity primary's load before a request spills
-	// to the next ring node: a node is "overloaded" when its inflight
-	// exceeds ceil(LoadFactor × (totalInflight+1) / liveNodes) — the
-	// bounded-load consistent-hashing rule. Default 1.25; ≤ 0 disables
-	// spill.
-	LoadFactor float64
-	// MaxShards caps how many nodes one sweep fans out to (default 0 = as
-	// many live nodes as thresholds).
-	MaxShards int
-	// HedgeAfter fires a duplicate of a still-running shard on the next
-	// candidate node after this delay — the classic tail-latency hedge.
-	// 0 disables hedging. Results are deterministic either way; the hedge
-	// only changes which node computes them.
-	HedgeAfter time.Duration
 	// RequestTimeout bounds one coordinator request end to end, re-dispatch
 	// attempts included (default 120s).
 	RequestTimeout time.Duration
@@ -97,10 +84,6 @@ type Config struct {
 	// restarts via a journal at StateDir/completed.journal. Empty keeps the
 	// set in memory for the process lifetime only.
 	StateDir string
-	// CompletedKeys bounds the completed-shard-key set the reconcile
-	// handshake consults (default 4096, FIFO eviction; negative disables
-	// reconciliation entirely).
-	CompletedKeys int
 	// Client is the template for per-node clients; BaseURL is overridden
 	// per node and stale-result fallbacks are force-disabled. The zero
 	// template defaults to one retry with fast backoff — node-level
@@ -117,20 +100,8 @@ func (c Config) withDefaults() Config {
 	if c.HeartbeatTimeout == 0 {
 		c.HeartbeatTimeout = 10 * time.Second
 	}
-	if c.HeartbeatInterval == 0 {
-		c.HeartbeatInterval = c.HeartbeatTimeout / 3
-	}
-	if c.VirtualNodes == 0 {
-		c.VirtualNodes = 64
-	}
-	if c.LoadFactor == 0 {
-		c.LoadFactor = 1.25
-	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 120 * time.Second
-	}
-	if c.CompletedKeys == 0 {
-		c.CompletedKeys = 4096
 	}
 	if c.Client.MaxRetries == 0 {
 		c.Client.MaxRetries = 1
@@ -155,7 +126,7 @@ type Coordinator struct {
 	cfg       Config
 	reg       *registry
 	metrics   *Metrics
-	completed *completedSet // nil when reconciliation is disabled
+	completed *completedSet
 	mux       *http.ServeMux
 	nextJob   atomic.Int64
 }
@@ -176,7 +147,7 @@ func Open(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	co := &Coordinator{cfg: cfg, metrics: &Metrics{}}
 	var err error
-	if co.completed, err = openCompletedSet(cfg.StateDir, cfg.CompletedKeys, cfg.Logf); err != nil {
+	if co.completed, err = openCompletedSet(cfg.StateDir, completedKeys, cfg.Logf); err != nil {
 		return nil, err
 	}
 	co.reg = newRegistry(&co.cfg)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -280,20 +281,39 @@ func TestClusterControlPlane(t *testing.T) {
 	}
 }
 
-// TestClusterMetricsEndpoint checks the /metrics shape after a sharded sweep.
+// TestClusterMetricsEndpoint checks the /metrics shape after a sharded sweep
+// and a single proxied request, including the fixed-zero hedges_fired and
+// spills_routed fields the benchmark harness still decodes.
 func TestClusterMetricsEndpoint(t *testing.T) {
 	_, cts, _ := newTestCluster(t, 2, Config{})
 	evaluateResultJSON(t, cts.URL, server.EvaluateRequest{Bench: "compress", Thresholds: []float64{90, 50}})
+	evaluateResultJSON(t, cts.URL, server.EvaluateRequest{Bench: "compress", Classifier: "profile", Threshold: 80})
 
-	var snap MetricsSnapshot
 	resp, err := http.Get(cts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
+	var snap MetricsSnapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"hedges_fired", "spills_routed"} {
+		if v, ok := fields[name]; !ok || string(v) != "0" {
+			t.Errorf("/metrics %s = %s (present %v), want 0", name, v, ok)
+		}
+	}
+	if snap.RequestsProxied != 1 {
+		t.Errorf("requests_proxied = %d, want 1", snap.RequestsProxied)
+	}
 	if snap.NodesLive != 2 {
 		t.Errorf("nodes_live = %d, want 2", snap.NodesLive)
 	}

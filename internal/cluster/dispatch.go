@@ -16,8 +16,8 @@ import (
 )
 
 // This file implements the scatter-gather core: routing-key computation,
-// shard planning, per-shard dispatch with failover and optional hedging,
-// and the deterministic merge.
+// shard planning, per-shard dispatch with failover, and the deterministic
+// merge.
 
 // routingKey maps a request to the key the ring hashes. Submitted programs
 // are addressed by fingerprint already; named benchmarks use the same
@@ -78,37 +78,6 @@ func shardThresholds(ths []float64, k int) [][]float64 {
 	return out
 }
 
-// orderByLoad applies the bounded-load rule to a ring candidate sequence:
-// candidates whose inflight exceeds the bound move behind the ones under
-// it, otherwise ring order is preserved. With LoadFactor ≤ 0 the sequence
-// is returned unchanged.
-func (co *Coordinator) orderByLoad(cands []*node) []*node {
-	if co.cfg.LoadFactor <= 0 || len(cands) < 2 {
-		return cands
-	}
-	var total int64
-	for _, n := range cands {
-		total += n.inflight.Load()
-	}
-	// ceil(LoadFactor × (total+1) / liveNodes): every node may carry its
-	// fair share times the factor; the +1 accounts for the request being
-	// placed.
-	bound := int64(float64(total+1)*co.cfg.LoadFactor/float64(len(cands))) + 1
-	under := make([]*node, 0, len(cands))
-	var over []*node
-	for _, n := range cands {
-		if n.inflight.Load() >= bound {
-			over = append(over, n)
-		} else {
-			under = append(under, n)
-		}
-	}
-	if len(over) > 0 && len(under) > 0 && over[0] == cands[0] {
-		co.metrics.SpillsRouted.Add(1)
-	}
-	return append(under, over...)
-}
-
 // tryNode performs one dispatch attempt of req against n, through the
 // cluster.dispatch fault point and the node's retrying client. Transport
 // failures mark the node dead (a heartbeat revives it).
@@ -127,8 +96,8 @@ func (co *Coordinator) tryNode(ctx context.Context, n *node, req server.Evaluate
 		if !errors.As(err, &apiErr) && ctx.Err() == nil {
 			// Transport-level failure or an exhausted breaker: the node is
 			// unreachable. Take it out of the ring until it proves liveness.
-			// (A cancelled context is not the node's fault — a hedge winner
-			// cancelling the losing leg must not kill the loser's node.)
+			// (A cancelled context — the request timed out — is not the
+			// node's fault.)
 			co.reg.markDead(n)
 			co.cfg.Logf("cluster: node %s (%s) unreachable, marked dead: %v", n.id, n.baseURL, err)
 		}
@@ -138,102 +107,29 @@ func (co *Coordinator) tryNode(ctx context.Context, n *node, req server.Evaluate
 }
 
 // dispatchShard runs one shard over the candidate nodes in order until a
-// node succeeds: candidate 0 is the (load-ordered) affinity choice, the
-// rest absorb failover. With hedging enabled, a straggling attempt races a
-// duplicate on the next candidate and the first success wins.
-func (co *Coordinator) dispatchShard(ctx context.Context, cands []*node, req server.EvaluateRequest) (server.JobResponse, *node, error) {
-	var (
-		attempts int
-		lastErr  error
-	)
-	for i := 0; i < len(cands); i++ {
-		n := cands[i]
-		attempts++
-		if attempts > 1 {
+// node succeeds: candidate 0 is the affinity choice, the rest absorb
+// failover.
+func (co *Coordinator) dispatchShard(ctx context.Context, cands []*node, req server.EvaluateRequest) (server.JobResponse, error) {
+	var lastErr error
+	for i, n := range cands {
+		if i > 0 {
 			co.metrics.ShardsRedispatched.Add(1)
 		}
-		var (
-			jr  server.JobResponse
-			err error
-		)
-		if co.cfg.HedgeAfter > 0 && i+1 < len(cands) {
-			var winner *node
-			var usedBackup bool
-			jr, winner, usedBackup, err = co.hedged(ctx, n, cands[i+1], req)
-			if err == nil {
-				return jr, winner, nil
-			}
-			if usedBackup {
-				// The hedge fired and both legs failed: the backup candidate
-				// is consumed too.
-				i++
-			}
-		} else {
-			jr, err = co.tryNode(ctx, n, req)
-			if err == nil {
-				return jr, n, nil
-			}
+		jr, err := co.tryNode(ctx, n, req)
+		if err == nil {
+			return jr, nil
 		}
 		lastErr = err
 		var apiErr *client.APIError
 		if errors.As(err, &apiErr) && fatalStatus(apiErr.Status) {
 			// Deterministic rejection — every survivor would say the same.
-			return server.JobResponse{}, nil, err
+			return server.JobResponse{}, err
 		}
 		if ctx.Err() != nil {
-			return server.JobResponse{}, nil, lastErr
+			return server.JobResponse{}, lastErr
 		}
 	}
-	return server.JobResponse{}, nil, &errAllNodesFailed{attempts: attempts, last: lastErr}
-}
-
-// hedged races req on primary against a duplicate fired on backup after
-// HedgeAfter. The first success wins (the loser's context is cancelled); if
-// the primary fails before the hedge fires, the failure returns immediately
-// with usedBackup=false so the caller's normal failover consumes the backup
-// instead. usedBackup reports whether the backup attempt was launched.
-func (co *Coordinator) hedged(ctx context.Context, primary, backup *node, req server.EvaluateRequest) (jr server.JobResponse, winner *node, usedBackup bool, err error) {
-	type outcome struct {
-		jr  server.JobResponse
-		n   *node
-		err error
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make(chan outcome, 2)
-	launch := func(n *node) {
-		jr, err := co.tryNode(hctx, n, req)
-		results <- outcome{jr: jr, n: n, err: err}
-	}
-	go launch(primary)
-	timer := time.NewTimer(co.cfg.HedgeAfter)
-	defer timer.Stop()
-	pending, hedgeFired := 1, false
-	var firstErr error
-	for {
-		select {
-		case out := <-results:
-			pending--
-			if out.err == nil {
-				return out.jr, out.n, hedgeFired, nil
-			}
-			if firstErr == nil {
-				firstErr = out.err
-			}
-			if pending == 0 {
-				return server.JobResponse{}, nil, hedgeFired, firstErr
-			}
-		case <-timer.C:
-			if !hedgeFired {
-				hedgeFired = true
-				co.metrics.HedgesFired.Add(1)
-				pending++
-				go launch(backup)
-			}
-		case <-ctx.Done():
-			return server.JobResponse{}, nil, hedgeFired, ctx.Err()
-		}
-	}
+	return server.JobResponse{}, &errAllNodesFailed{attempts: len(cands), last: lastErr}
 }
 
 // rotate returns cands rotated left by i, so shard i prefers the i-th ring
@@ -248,8 +144,8 @@ func rotate(cands []*node, i int) []*node {
 }
 
 // evaluate is the coordinator's evaluate entry: route single requests to
-// the affinity node (bounded-load, failover), scatter sweep requests across
-// the live fleet and gather the deterministic merge.
+// the ring primary (failing over in ring order), scatter sweep requests
+// across the live fleet and gather the deterministic merge.
 func (co *Coordinator) evaluate(ctx context.Context, req server.EvaluateRequest) (server.JobResponse, error) {
 	cands := co.reg.candidates(routingKey(&req))
 	if len(cands) == 0 {
@@ -258,20 +154,14 @@ func (co *Coordinator) evaluate(ctx context.Context, req server.EvaluateRequest)
 	shardable := len(req.Thresholds) >= 2 && len(cands) >= 2
 	if !shardable {
 		co.metrics.RequestsProxied.Add(1)
-		jr, _, err := co.dispatchShard(ctx, co.orderByLoad(cands), req)
+		jr, err := co.dispatchShard(ctx, cands, req)
 		if err == nil {
 			co.completed.record(req.ShardKey())
 		}
 		return jr, err
 	}
 
-	k := len(cands)
-	if len(req.Thresholds) < k {
-		k = len(req.Thresholds)
-	}
-	if co.cfg.MaxShards > 0 && k > co.cfg.MaxShards {
-		k = co.cfg.MaxShards
-	}
+	k := min(len(cands), len(req.Thresholds))
 	chunks := shardThresholds(req.Thresholds, k)
 	co.metrics.SweepsSharded.Add(1)
 
@@ -285,7 +175,7 @@ func (co *Coordinator) evaluate(ctx context.Context, req server.EvaluateRequest)
 			defer wg.Done()
 			shardReq := req
 			shardReq.Thresholds = chunks[i]
-			jr, _, err := co.dispatchShard(ctx, rotate(cands, i), shardReq)
+			jr, err := co.dispatchShard(ctx, rotate(cands, i), shardReq)
 			if err != nil {
 				errs[i] = err
 				return

@@ -97,7 +97,7 @@ func (co *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, RegisterResponse{
 		NodeID:              id,
-		HeartbeatIntervalMS: float64(co.cfg.HeartbeatInterval.Milliseconds()),
+		HeartbeatIntervalMS: float64((co.cfg.HeartbeatTimeout / 3).Milliseconds()),
 		Abandon:             co.Reconcile(id, req.Incomplete),
 	})
 }

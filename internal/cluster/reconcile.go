@@ -33,13 +33,9 @@ type completedSet struct {
 	logf    func(string, ...any)
 }
 
-// openCompletedSet builds the set, replaying StateDir/completed.journal when
-// a state dir is configured. max ≤ 0 disables tracking entirely (record and
-// has become no-ops), mirroring how other negative knobs disable features.
+// openCompletedSet builds the set, holding at most max keys, replaying
+// StateDir/completed.journal when a state dir is configured.
 func openCompletedSet(stateDir string, max int, logf func(string, ...any)) (*completedSet, error) {
-	if max <= 0 {
-		return nil, nil
-	}
 	cs := &completedSet{max: max, set: make(map[string]struct{}), logf: logf}
 	if stateDir == "" {
 		return cs, nil
@@ -89,9 +85,6 @@ func (cs *completedSet) compactLocked() {
 // one is configured. Append failures are logged, not fatal: the set degrades
 // to process-lifetime memory.
 func (cs *completedSet) record(key string) {
-	if cs == nil {
-		return
-	}
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	if _, ok := cs.set[key]; ok {
@@ -116,9 +109,6 @@ func (cs *completedSet) record(key string) {
 
 // has reports whether key was recorded (and not yet evicted).
 func (cs *completedSet) has(key string) bool {
-	if cs == nil {
-		return false
-	}
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	_, ok := cs.set[key]
@@ -126,16 +116,13 @@ func (cs *completedSet) has(key string) bool {
 }
 
 func (cs *completedSet) size() int {
-	if cs == nil {
-		return 0
-	}
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	return len(cs.order)
 }
 
 func (cs *completedSet) close() {
-	if cs != nil && cs.journal != nil {
+	if cs.journal != nil {
 		cs.journal.Close()
 	}
 }
@@ -145,7 +132,7 @@ func (cs *completedSet) close() {
 // should abandon instead of re-running. Exported alongside Register for the
 // in-process embedding path.
 func (co *Coordinator) Reconcile(nodeID string, incomplete []string) []string {
-	if co.completed == nil || len(incomplete) == 0 {
+	if len(incomplete) == 0 {
 		return nil
 	}
 	var abandon []string

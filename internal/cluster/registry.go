@@ -27,7 +27,7 @@ type node struct {
 	cli *client.Client
 
 	// inflight counts coordinator-dispatched requests currently executing on
-	// the node; the bounded-load spill reads it.
+	// the node; /metrics reports it.
 	inflight atomic.Int64
 
 	mu       sync.Mutex
@@ -199,7 +199,7 @@ func (r *registry) candidates(key string) []*node {
 	}
 	r.mu.Lock()
 	if r.ringCache == nil || r.ringEpoch != r.epoch {
-		r.ringCache = buildRing(nodes, r.cfg.VirtualNodes)
+		r.ringCache = buildRing(nodes, virtualNodes)
 		r.ringEpoch = r.epoch
 	}
 	ring := r.ringCache

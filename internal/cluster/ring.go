@@ -6,11 +6,11 @@ import (
 )
 
 // This file implements the consistent-hash ring the coordinator routes on.
-// Every live node contributes VirtualNodes points to the ring; a request's
+// Every live node contributes virtualNodes points to the ring; a request's
 // routing key (the program fingerprint, or the benchmark/input cache key —
 // exactly what the worker's trace and result caches are keyed by) hashes to
 // a position, and the nodes encountered walking clockwise from there form
-// the candidate order: primary first, then the failover/spill successors.
+// the candidate order: primary first, then the failover successors.
 //
 // The property that matters is cache affinity: repeat jobs for one program
 // land on the node that already holds its recorded trace and profile image,
@@ -51,14 +51,14 @@ func mix64(h uint64) uint64 {
 	return h
 }
 
-// buildRing places vnodes virtual points per node, sorted by hash. Ties
+// buildRing places perNode virtual points per node, sorted by hash. Ties
 // (vanishingly rare with 64-bit FNV) break by node id so the ring is
 // deterministic for a given membership.
-func buildRing(nodes []*node, vnodes int) *ring {
-	r := &ring{points: make([]ringPoint, 0, len(nodes)*vnodes), distinct: len(nodes)}
+func buildRing(nodes []*node, perNode int) *ring {
+	r := &ring{points: make([]ringPoint, 0, len(nodes)*perNode), distinct: len(nodes)}
 	var buf [8]byte
 	for _, n := range nodes {
-		for i := 0; i < vnodes; i++ {
+		for i := 0; i < perNode; i++ {
 			buf[0] = byte(i)
 			buf[1] = byte(i >> 8)
 			h := fnv.New64a()
@@ -79,7 +79,7 @@ func buildRing(nodes []*node, vnodes int) *ring {
 
 // sequence returns every distinct node in clockwise order starting at the
 // key's ring position: sequence(key)[0] is the affinity primary, the rest
-// are the spill/failover successors in deterministic order.
+// are the failover successors in deterministic order.
 func (r *ring) sequence(key string) []*node {
 	if len(r.points) == 0 {
 		return nil

@@ -234,37 +234,3 @@ func TestRotate(t *testing.T) {
 		t.Fatalf("rotate by len is not identity")
 	}
 }
-
-// TestOrderByLoad: an overloaded affinity primary is pushed behind
-// under-loaded successors; balanced load preserves ring order.
-func TestOrderByLoad(t *testing.T) {
-	co := New(Config{LoadFactor: 1.25, Logf: t.Logf})
-	nodes := mkNodes("node-1", "node-2", "node-3")
-
-	// Balanced: order untouched.
-	for _, n := range nodes {
-		n.inflight.Store(2)
-	}
-	if got := co.orderByLoad(append([]*node(nil), nodes...)); !reflect.DeepEqual(got, nodes) {
-		t.Fatalf("balanced load reordered candidates")
-	}
-	if n := co.metrics.SpillsRouted.Load(); n != 0 {
-		t.Fatalf("spills_routed = %d, want 0 under balanced load", n)
-	}
-
-	// Saturated primary: it spills behind the idle successors.
-	nodes[0].inflight.Store(50)
-	nodes[1].inflight.Store(0)
-	nodes[2].inflight.Store(1)
-	got := co.orderByLoad(append([]*node(nil), nodes...))
-	if got[0] != nodes[1] || got[len(got)-1] != nodes[0] {
-		ids := make([]string, len(got))
-		for i, n := range got {
-			ids[i] = n.id
-		}
-		t.Fatalf("overloaded primary not spilled: %v", ids)
-	}
-	if n := co.metrics.SpillsRouted.Load(); n != 1 {
-		t.Fatalf("spills_routed = %d, want 1", n)
-	}
-}

@@ -65,7 +65,7 @@ type journalEntry struct {
 // durability is the open state-dir handle hanging off a Server.
 type durability struct {
 	store   *durable.Store
-	journal *durable.Journal // nil when journaling is disabled
+	journal *durable.Journal
 	logf    func(string, ...any)
 
 	recoveredJobs    atomic.Int64
@@ -91,21 +91,18 @@ type DurableSnapshot struct {
 }
 
 func (d *durability) snapshot() *DurableSnapshot {
-	snap := &DurableSnapshot{
+	return &DurableSnapshot{
 		RecoveredJobs:      d.recoveredJobs.Load(),
 		SweepCheckpoints:   d.sweepCheckpoints.Load(),
 		SweepChunksResumed: d.chunksResumed.Load(),
 		JobsAbandoned:      d.jobsAbandoned.Load(),
 		StoreStats:         d.store.Stats(),
+		JournalEntries:     d.journal.Entries(),
 	}
-	if d.journal != nil {
-		snap.JournalEntries = d.journal.Entries()
-	}
-	return snap
 }
 
 func (d *durability) close() {
-	if d != nil && d.journal != nil {
+	if d != nil {
 		d.journal.Close()
 	}
 }
@@ -122,9 +119,6 @@ func openDurability(cfg Config) (*durability, []*recoveredJob, error) {
 		return nil, nil, err
 	}
 	d := &durability{store: store, logf: logf, recovered: make(map[string]map[int]*report.Run)}
-	if cfg.DisableJournal {
-		return d, nil, nil
-	}
 	path := cfg.JournalPath
 	if path == "" {
 		path = filepath.Join(cfg.StateDir, "jobs.journal")
@@ -227,7 +221,7 @@ func sortedChunks(m map[int]*report.Run) []int {
 // appendEntry journals one record; callers decide whether a failure is fatal
 // to the operation (accept, shard) or merely logged (done, fail).
 func (d *durability) appendEntry(e journalEntry) error {
-	if d == nil || d.journal == nil {
+	if d == nil {
 		return nil
 	}
 	return d.journal.Append(mustJSON(e))
@@ -274,7 +268,7 @@ func (d *durability) incompleteIDs() []string {
 // IncompleteJobKeys lists the shard keys of journal-recovered jobs that have
 // not yet (re-)completed. A cluster agent advertises them at registration so
 // the coordinator can tell the node which of them were already completed
-// elsewhere while it was down (see AbandonJobs). Empty without a journal.
+// elsewhere while it was down (see AbandonJobs). Empty without a state dir.
 func (s *Server) IncompleteJobKeys() []string {
 	ids := s.dur.incompleteIDs()
 	if len(ids) == 0 {
@@ -482,7 +476,7 @@ func (s *Server) decodeTrace(b []byte) (*trace.Recorder, error) {
 // journaled partial results. Only journaled sweeps longer than one chunk
 // benefit — anything shorter is all-or-nothing either way.
 func (s *Server) shouldCheckpoint(req *EvaluateRequest) bool {
-	return s.dur != nil && s.dur.journal != nil &&
+	return s.dur != nil &&
 		s.cfg.SweepCheckpoint > 0 && len(req.Thresholds) > s.cfg.SweepCheckpoint
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -104,12 +105,10 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 }
 
 // quantileLocked returns the upper bound (ms) of the bucket containing the
-// q-quantile. Called with mu held and count > 0.
+// nearest-rank q-quantile, the ceil(q·count)-th smallest sample. Called with
+// mu held and count > 0.
 func (h *Histogram) quantileLocked(q float64) float64 {
-	target := int64(q * float64(h.count))
-	if target < 1 {
-		target = 1
-	}
+	target := max(int64(math.Ceil(q*float64(h.count))), 1)
 	var seen int64
 	for i, n := range h.counts {
 		seen += n

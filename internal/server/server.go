@@ -52,15 +52,10 @@ type Config struct {
 	// TrainInputs is n, the number of training inputs profiled for
 	// profile-classified benchmark runs (default 5, the paper's n).
 	TrainInputs int
-	// ResultCache / TraceCache / ImageCache / AnnoCache / ProgramCache
-	// bound the LRU caches, in entries (defaults 1024, 32, 64, 256, 128).
-	ResultCache  int
-	TraceCache   int
-	ImageCache   int
-	AnnoCache    int
-	ProgramCache int
-	// MaxJobs bounds the finished-job registry (default 4096).
-	MaxJobs int
+	// ResultCache / TraceCache bound the result and trace LRU caches, in
+	// entries (defaults 1024, 32).
+	ResultCache int
+	TraceCache  int
 	// TraceMemBudget bounds the encoded bytes each recorded trace keeps
 	// resident in memory; chunks past the budget spill to a temporary file
 	// and stream back during replay. ≤ 0 (the default) keeps traces fully
@@ -69,18 +64,15 @@ type Config struct {
 	// StateDir, when set, enables the durability layer (DESIGN.md §13): a
 	// persistent artifact store under this directory backing every cache,
 	// plus a write-ahead job journal. Empty (the default) keeps all state
-	// in memory, exactly as before.
+	// in memory.
 	StateDir string
 	// JournalPath overrides the job-journal location (default
 	// StateDir/jobs.journal). Ignored when StateDir is empty.
 	JournalPath string
-	// DisableJournal keeps the artifact store but turns the job journal off
-	// (no crash-resume, caches still persist).
-	DisableJournal bool
 	// SweepCheckpoint is how many sweep thresholds one journaled checkpoint
 	// chunk covers (default 4); sweeps longer than one chunk resume from
 	// their last completed chunk after a crash. Negative disables
-	// checkpointing. Ignored without a journal.
+	// checkpointing. Ignored when StateDir is empty.
 	SweepCheckpoint int
 	// Logf receives durability-layer diagnostics (quarantines, recovery,
 	// persistence failures). Default log.Printf.
@@ -90,6 +82,15 @@ type Config struct {
 	// limit (the vm treats non-positive limits as unlimited).
 	Limits vm.Limits
 }
+
+// Fixed sizes of the LRU caches no deployment tunes, in entries, and of the
+// finished-job registry.
+const (
+	imageCacheSize   = 64
+	annoCacheSize    = 256
+	programCacheSize = 128
+	maxJobs          = 4096
+)
 
 // DefaultLimits is the guest sandbox vpserve applies when Config.Limits is
 // zero: generous enough that every synthetic benchmark runs untouched (their
@@ -114,10 +115,6 @@ func (c Config) withDefaults() Config {
 	def(&c.TrainInputs, workloadDefaultTrainInputs)
 	def(&c.ResultCache, 1024)
 	def(&c.TraceCache, 32)
-	def(&c.ImageCache, 64)
-	def(&c.AnnoCache, 256)
-	def(&c.ProgramCache, 128)
-	def(&c.MaxJobs, 4096)
 	def(&c.SweepCheckpoint, 4)
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 60 * time.Second
@@ -200,9 +197,9 @@ func Open(cfg Config) (*Server, error) {
 		metrics:  NewMetrics(),
 		results:  NewCache[*report.Run](cfg.ResultCache),
 		traces:   NewCache[*trace.Recorder](cfg.TraceCache),
-		images:   NewCache[*profiler.Image](cfg.ImageCache),
-		annos:    NewCache[*annotation](cfg.AnnoCache),
-		programs: NewCache[*program.Program](cfg.ProgramCache),
+		images:   NewCache[*profiler.Image](imageCacheSize),
+		annos:    NewCache[*annotation](annoCacheSize),
+		programs: NewCache[*program.Program](programCacheSize),
 		jobs:     make(map[string]*job),
 	}
 	// Cache fills run guest-adjacent code; recovered fill panics count as
@@ -560,10 +557,10 @@ func (s *Server) newJob(req EvaluateRequest) (*job, error) {
 	return j, nil
 }
 
-// evictJobsLocked drops the oldest finished jobs beyond MaxJobs. Active jobs
+// evictJobsLocked drops the oldest finished jobs beyond maxJobs. Active jobs
 // are never dropped.
 func (s *Server) evictJobsLocked() {
-	for len(s.order) > s.cfg.MaxJobs {
+	for len(s.order) > maxJobs {
 		dropped := false
 		for i, id := range s.order {
 			j, ok := s.jobs[id]

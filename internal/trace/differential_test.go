@@ -3,6 +3,7 @@ package trace
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -125,9 +126,30 @@ func TestColumnarMatchesAoSMultiEval(t *testing.T) {
 
 // TestSpilledMatchesResident replays the same stream under a range of
 // memory budgets — fully resident, partially spilled, fully spilled — and
-// requires every mode to be bit-identical to the unbudgeted recorder.
+// requires every mode to be bit-identical to the unbudgeted recorder. It
+// runs over two trace lengths: a multi-chunk trace, and a one-chunk trace
+// spilled whole at GOMAXPROCS=2, where replay has no decode-ahead lanes and
+// reads the spilled chunk inline.
 func TestSpilledMatchesResident(t *testing.T) {
-	const n = 4*recorderChunkSize + 123
+	for _, tc := range []struct {
+		name    string
+		n       int
+		budgets []int64
+		procs   int // 0 leaves GOMAXPROCS as it is
+	}{
+		{name: "multi-chunk", n: 4*recorderChunkSize + 123, budgets: []int64{1, 64 << 10, 1 << 20}},
+		{name: "one-chunk", n: recorderChunkSize/2 + 123, budgets: []int64{1}, procs: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
+			}
+			checkSpilledMatchesResident(t, tc.n, tc.budgets)
+		})
+	}
+}
+
+func checkSpilledMatchesResident(t *testing.T, n int, budgets []int64) {
 	rng := rand.New(rand.NewSource(3))
 	recs := make([]Record, n)
 	for i := range recs {
@@ -161,7 +183,7 @@ func TestSpilledMatchesResident(t *testing.T) {
 		t.Fatal("resident ReplayDirs differs from the patched recorded stream")
 	}
 
-	for _, budget := range []int64{1, 64 << 10, 1 << 20} {
+	for _, budget := range budgets {
 		rc := record(budget)
 		if rc.SpilledChunks() == 0 {
 			t.Fatalf("budget %d: nothing spilled (test not exercising the spill path)", budget)
@@ -169,7 +191,7 @@ func TestSpilledMatchesResident(t *testing.T) {
 		if rc.BytesResident() > budget && rc.SpilledChunks() < 5 {
 			t.Errorf("budget %d: resident %d bytes over budget", budget, rc.BytesResident())
 		}
-		if rc.Len() != n {
+		if rc.Len() != int64(n) {
 			t.Fatalf("budget %d: Len = %d, want %d", budget, rc.Len(), n)
 		}
 
@@ -197,8 +219,8 @@ func TestSpilledMatchesResident(t *testing.T) {
 }
 
 // TestSpilledConcurrentReplays drives several goroutines through every
-// replay path of one spilled, sealed recorder; each pass owns its own
-// prefetcher, so concurrent passes must not interfere. Run under -race by
+// replay path of one spilled, sealed recorder; each pass owns its own read
+// buffers, so concurrent passes must not interfere. Run under -race by
 // the CI spill job.
 func TestSpilledConcurrentReplays(t *testing.T) {
 	const n = 3 * recorderChunkSize

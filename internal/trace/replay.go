@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -25,9 +24,8 @@ import (
 // everything else one materialized Record per iteration, so consumers
 // observe exactly the live-run contract and never touch the encoded form. When a resident-bytes
 // budget is set, encoded chunks past the budget spill to an anonymous temp
-// file and stream back in sequential order during replay through a
-// double-buffered prefetcher (spill.go), so traces larger than RAM replay
-// at near-resident speed.
+// file and are read back positionally during replay (spill.go), so traces
+// larger than RAM replay at near-resident speed.
 
 // recorderChunkSize is the number of records per storage chunk: 16384
 // records stage into ~0.9 MiB of Record structs and encode into roughly
@@ -413,42 +411,22 @@ func (rc *Recorder) tailRecords() []Record {
 }
 
 // walkChunks streams every flushed chunk's encoded bytes through fn in
-// record order, reading spilled chunks back sequentially through a
-// double-buffered prefetcher so decode of chunk k overlaps the read of
-// chunk k+1. fn must fully consume data before returning (the prefetch
-// buffers are recycled). The staging tail is NOT walked — callers feed
-// tailRecords directly after the walk.
+// record order, reading spilled chunks back inline into one reused buffer.
+// fn must fully consume data before returning. The staging tail is NOT
+// walked — callers feed tailRecords directly after the walk.
 func (rc *Recorder) walkChunks(fn func(data []byte, n int, firstSeq int64)) {
-	// The prefetch goroutine only helps when another CPU can run it; on a
-	// single-core machine it is pure scheduling overhead, so read inline.
-	var pf *prefetcher
 	var buf []byte
-	if rc.spilledChunks > 0 && runtime.GOMAXPROCS(0) > 1 {
-		pf = startPrefetch(rc.spill, rc.chunks)
-		defer pf.stop()
-	}
 	firstSeq := int64(0)
 	for i := range rc.chunks {
 		c := &rc.chunks[i]
 		data := c.data
 		if data == nil {
-			if pf != nil {
-				data = pf.next()
-			} else {
-				if cap(buf) < int(c.size) {
-					buf = make([]byte, c.size)
-				}
-				buf = buf[:c.size]
-				if _, err := rc.spill.f.ReadAt(buf, c.off); err != nil {
-					panic(fmt.Sprintf("trace: read spilled chunk: %v", err))
-				}
-				data = buf
+			if cap(buf) < int(c.size) {
+				buf = make([]byte, c.size)
 			}
+			data = rc.spill.read(c, buf[:c.size])
 		}
 		fn(data, int(c.n), firstSeq)
-		if pf != nil && c.data == nil {
-			pf.recycle(data)
-		}
 		firstSeq += int64(c.n)
 	}
 }
@@ -525,9 +503,9 @@ func decodeLanes(nchunks int) int {
 // buffers (decode one while the consumer holds the other); delivery is
 // strictly round-robin, which keeps record order without any reordering
 // buffer. Spilled chunks are read back by the lane that decodes them
-// (positional reads are independent) into buffer-owned scratch, replacing
-// the sequential prefetcher on that path. Single-core or tiny traces fall
-// back to inline decode through walkChunks. The buffer passed to deliver is
+// (positional reads are independent) into buffer-owned scratch. Single-core
+// or tiny traces fall back to inline decode and inline reads through
+// walkChunks. The buffer passed to deliver is
 // valid only until deliver returns — every element is rewritten on the next
 // decode.
 func walkPipe[B interface{ spillBuf(size int) []byte }](
@@ -589,11 +567,7 @@ func walkPipe[B interface{ spillBuf(size int) []byte }](
 				c := &rc.chunks[i]
 				data := c.data
 				if data == nil {
-					sb := buf.spillBuf(int(c.size))
-					if _, err := rc.spill.f.ReadAt(sb, c.off); err != nil {
-						panic(fmt.Sprintf("trace: read spilled chunk: %v", err))
-					}
-					data = sb
+					data = rc.spill.read(c, buf.spillBuf(int(c.size)))
 				}
 				decode(buf, data, firstSeqs[i])
 				select {

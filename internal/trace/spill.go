@@ -7,11 +7,10 @@ import (
 
 // This file implements chunk-granular spill-to-disk for the Recorder.
 // Encoded chunks past the resident-bytes budget are appended to an
-// anonymous temp file and streamed back in sequential order during replay
-// through a double-buffered prefetcher, so a trace larger than RAM replays
-// at near-resident speed: the read of chunk k+1 overlaps the decode of
-// chunk k, and the decode itself touches only the ~10 bytes/record encoded
-// form.
+// anonymous temp file and read back with positional reads during replay,
+// so a trace larger than RAM replays at near-resident speed: the decode
+// touches only the ~10 bytes/record encoded form, and on multi-core
+// machines each decode-ahead lane reads the chunks it decodes (walkPipe).
 
 // spillFile is an append-only, positionally-read temp file. The file is
 // unlinked immediately after creation, so it is reclaimed by the kernel
@@ -51,84 +50,12 @@ func (s *spillFile) write(p []byte) (int64, error) {
 
 func (s *spillFile) close() error { return s.f.Close() }
 
-// prefetched is one spilled chunk read back into a recycled buffer.
-type prefetched struct {
-	data []byte
-	err  error
-}
-
-// prefetcher streams a pass's spilled chunks back from disk one read ahead
-// of the decode. Two buffers rotate through the free/out channels: while
-// the replay loop decodes one, the reader goroutine fills the other, and
-// the out channel's single slot keeps the reader at most one chunk ahead.
-// Each replay pass owns its own prefetcher, so concurrent passes over one
-// sealed Recorder never share read state.
-type prefetcher struct {
-	out  chan prefetched
-	free chan []byte
-	done chan struct{}
-}
-
-// startPrefetch begins reading the spilled chunks of chunks (in order) from
-// sf. The caller must consume via next/recycle and must call stop when the
-// pass ends, normally or not, so the reader goroutine always exits.
-func startPrefetch(sf *spillFile, chunks []rchunk) *prefetcher {
-	p := &prefetcher{
-		out:  make(chan prefetched, 1),
-		free: make(chan []byte, 2),
-		done: make(chan struct{}),
+// read fills buf (len c.size) with spilled chunk c's encoded bytes. A
+// failed read means the spill file was lost or truncated under a sealed
+// Recorder, which replay cannot recover from.
+func (s *spillFile) read(c *rchunk, buf []byte) []byte {
+	if _, err := s.f.ReadAt(buf, c.off); err != nil {
+		panic(fmt.Sprintf("trace: read spilled chunk: %v", err))
 	}
-	p.free <- nil
-	p.free <- nil
-	go func() {
-		for i := range chunks {
-			c := &chunks[i]
-			if c.data != nil {
-				continue // resident chunk, nothing to read
-			}
-			var buf []byte
-			select {
-			case buf = <-p.free:
-			case <-p.done:
-				return
-			}
-			if cap(buf) < int(c.size) {
-				buf = make([]byte, c.size)
-			}
-			buf = buf[:c.size]
-			_, err := sf.f.ReadAt(buf, c.off)
-			select {
-			case p.out <- prefetched{data: buf, err: err}:
-			case <-p.done:
-				return
-			}
-			if err != nil {
-				return
-			}
-		}
-	}()
-	return p
+	return buf
 }
-
-// next returns the next spilled chunk's encoded bytes. The buffer belongs
-// to the caller until recycle.
-func (p *prefetcher) next() []byte {
-	got := <-p.out
-	if got.err != nil {
-		panic(fmt.Sprintf("trace: read spilled chunk: %v", got.err))
-	}
-	return got.data
-}
-
-// recycle returns a buffer obtained from next to the reader.
-func (p *prefetcher) recycle(buf []byte) {
-	select {
-	case p.free <- buf:
-	default: // stop already drained the pass; drop the buffer
-	}
-}
-
-// stop terminates the reader goroutine. Safe to call whether or not the
-// pass consumed every chunk (a panicking consumer unwinds through here via
-// the walkChunks defer).
-func (p *prefetcher) stop() { close(p.done) }
