@@ -79,7 +79,7 @@ func main() {
 			fatal(fmt.Errorf("memprofile: %w", err))
 		}
 		defer func() {
-			runtime.GC() // materialize final live-heap statistics
+			runtime.GC() // bring the live-heap statistics up to date
 			if err := pprof.WriteHeapProfile(f); err != nil {
 				fmt.Fprintln(os.Stderr, "vpreport: memprofile:", err)
 			}

@@ -212,15 +212,15 @@ func (c *Context) Annotated(bench string, threshold float64) (*program.Program, 
 	return a.prog, a.stats, nil
 }
 
-// RunEvalPlain feeds the consumers the benchmark's evaluation-input
+// RunEvalPlain feeds the consumer the benchmark's evaluation-input
 // instruction stream — a replay of the recorded trace, bit-identical to
 // re-executing the unannotated program.
-func (c *Context) RunEvalPlain(bench string, consumers ...trace.Consumer) error {
+func (c *Context) RunEvalPlain(bench string, consumer trace.Consumer) error {
 	rec, err := c.EvalTrace(bench)
 	if err != nil {
 		return err
 	}
-	rec.Replay(consumers...)
+	rec.Replay(consumer)
 	return nil
 }
 
@@ -240,12 +240,12 @@ func (c *Context) annotatedDirs(bench string, threshold float64) ([]isa.Directiv
 	})
 }
 
-// RunEvalAnnotated feeds the consumers the threshold-annotated program's
+// RunEvalAnnotated feeds the consumer the threshold-annotated program's
 // evaluation-input stream. Annotation changes only directive bits — no code
 // motion — so this replays the recorded plain trace with the annotated
 // text's directives patched in, bit-identical to re-executing the annotated
 // program.
-func (c *Context) RunEvalAnnotated(bench string, threshold float64, consumers ...trace.Consumer) error {
+func (c *Context) RunEvalAnnotated(bench string, threshold float64, consumer trace.Consumer) error {
 	dirs, err := c.annotatedDirs(bench, threshold)
 	if err != nil {
 		return err
@@ -254,7 +254,7 @@ func (c *Context) RunEvalAnnotated(bench string, threshold float64, consumers ..
 	if err != nil {
 		return err
 	}
-	rec.ReplayDirs(dirs, consumers...)
+	rec.ReplayDirs(dirs, consumer)
 	return nil
 }
 

@@ -94,8 +94,8 @@ func sameRecords(t *testing.T, live, replay []trace.Record) {
 }
 
 // recordHash is a scalar-only consumer that folds every field of every
-// record into one FNV-1a hash: the table's whole-stream observer, and the
-// consumer that keeps replay on its per-record walk.
+// record into one FNV-1a hash: the table's whole-stream observer, and a
+// consumer that replay serves record by record.
 type recordHash struct {
 	n int64
 	h uint64
@@ -228,8 +228,8 @@ const oracleSteps = 6<<14 + 777
 // per-record Consume. It then records the plain program through the fused
 // VM loop under each GOMAXPROCS and memory budget and requires every replay
 // shape to reproduce the live results exactly: Replay for plain-program
-// schemes and ReplayDirs for annotated ones (batch kernels sharing one
-// batch walk, scalar-only consumers the per-record walk), and one
+// schemes and ReplayDirs for annotated ones (batch kernels over the
+// batches, scalar-only consumers over their materialized records), and one
 // MultiEval pass over every scheme. One comparison thereby covers fused
 // against per-record recording, batch kernels against their per-record
 // Consume, the encoder and decoder, spill readback, decode-ahead and

@@ -15,10 +15,12 @@ import (
 // BatchConsumer instead receives each decoded chunk as a Batch — the
 // structure-of-arrays columns of codec.go, decoded once — and runs its own
 // tight loop over the column slices, so the per-record cost collapses to
-// the consumer's real work. Replay, ReplayDirs and MultiEval hand batches
-// to consumers that support them and records one at a time otherwise; both
-// are checked against live re-execution (the VM feeding the consumer's
-// per-record Consume) by the tests in internal/experiments.
+// the consumer's real work. Every replay walks batches — decoded chunks and
+// the unsealed staging tail alike; Replay, ReplayDirs and MultiEval hand
+// them to consumers that support them and serve every other consumer the
+// batch materialized into Records, one Consume per record. Both are checked
+// against live re-execution (the VM feeding the consumer's per-record
+// Consume) by the tests in internal/experiments.
 
 // Flag bits of the Batch.Flags column, mirroring the boolean fields of
 // Record (codec.go packs them; bits 4-5 carry the recorded directive, which
@@ -73,14 +75,14 @@ type Batch struct {
 }
 
 // BatchConsumer is a Consumer that can additionally accept whole decoded
-// chunks. Replay/ReplayDirs feed batches when every consumer implements it
-// (and MultiEval per configuration); the embedded scalar Consume still
-// handles the partially filled staging tail of an unsealed Recorder and any
-// per-record producer, so a batch kernel must keep both entry points
-// consistent — the re-execution tests enforce that bit-for-bit.
+// chunks. Replay, ReplayDirs and MultiEval feed it batches only (the
+// staging tail of an unsealed Recorder included); the embedded scalar
+// Consume serves live per-record producers — the VM's step loop feeding
+// the consumer directly — so a batch kernel must keep both entry points
+// consistent. The re-execution tests enforce that bit-for-bit.
 type BatchConsumer interface {
 	Consumer
-	// ConsumeBatch is called once per decoded chunk, in stream order. The
+	// ConsumeBatch is called once per batch, in stream order. The
 	// batch and every column it exposes are read-only and valid only for
 	// the duration of the call.
 	ConsumeBatch(b *Batch)
@@ -115,11 +117,11 @@ func (b *Batch) spillBuf(size int) []byte {
 	return b.raw
 }
 
-// Record materializes record i of the batch into r, bit-identical to what
-// the scalar replay path would have delivered (including any directive
-// patch applied to the Dir column). MultiEval uses it to serve scalar-only
-// consumers from a batch walk; batch kernels that need an occasional full
-// record (rather than columns) may use it too.
+// Record materializes record i of the batch into r, bit-identical to the
+// record the live run delivered (including any directive patch applied to
+// the Dir column). Replays serve per-record consumers through it, and the
+// file Reader hands out frame records; batch kernels that need an
+// occasional full record (rather than columns) may use it too.
 func (b *Batch) Record(i int, r *Record) {
 	f := b.Flags[i]
 	r.Addr = b.Addr[i]
@@ -149,8 +151,8 @@ func (b *Batch) Records(out []Record) []Record {
 	return out
 }
 
-// batchPool recycles Batch column sets across replay passes, the batch-walk
-// twin of slabPool.
+// batchPool recycles the decode batches of the replay walks across passes,
+// so steady-state replay does not allocate columns.
 var batchPool = sync.Pool{New: func() any { return new(Batch) }}
 
 func getBatch() *Batch  { return batchPool.Get().(*Batch) }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -19,6 +20,7 @@ import (
 type batchCapture struct {
 	recs    []Record
 	batches int
+	lastN   int // records in the latest batch
 	scalars int
 }
 
@@ -29,6 +31,7 @@ func (c *batchCapture) Consume(r *Record) {
 
 func (c *batchCapture) ConsumeBatch(b *Batch) {
 	c.batches++
+	c.lastN = b.N
 	if b.N != len(b.Op) || b.N != len(b.Flags) || b.N != len(b.Dest) || 2*b.N != len(b.Reads) ||
 		b.N != len(b.Dir) || b.N != len(b.Addr) || b.N != len(b.Value) ||
 		b.N != len(b.MemAddr) || b.N != len(b.Phase) || b.N != len(b.Seq) {
@@ -41,16 +44,17 @@ func (c *batchCapture) ConsumeBatch(b *Batch) {
 	}
 }
 
-// TestBatchMatchesScalarReplay is the core batch test: the batch walk and
-// the per-record walk a scalar-only consumer takes must both deliver the
-// recorded stream for Replay and ReplayDirs, across chunk boundaries and
-// with a partial staged tail (which always flows through scalar Consume).
+// TestBatchMatchesScalarReplay is the core batch test: a batch kernel and a
+// scalar-only consumer (served the batches' materialized records) must both
+// receive the recorded stream for Replay and ReplayDirs, across chunk
+// boundaries and with a partial staged tail, which arrives as one more
+// batch over the stage columns.
 func TestBatchMatchesScalarReplay(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	recs := randomRecords(rng, recorderChunkSize+recorderChunkSize/2)
 	rc := recordAll(recs)
 
-	var want capture // scalar-only consumer: takes the per-record walk
+	var want capture // scalar-only consumer: served materialized records
 	rc.Replay(&want)
 	if !reflect.DeepEqual(recs, want.recs) {
 		t.Fatal("scalar Replay differs from the recorded stream")
@@ -60,8 +64,14 @@ func TestBatchMatchesScalarReplay(t *testing.T) {
 	if got.batches == 0 {
 		t.Fatal("batch consumer never received a batch")
 	}
-	if got.scalars != recorderChunkSize/2 {
-		t.Fatalf("staged tail delivered %d scalar records, want %d", got.scalars, recorderChunkSize/2)
+	if got.scalars != 0 {
+		t.Fatalf("batch consumer received %d scalar records, want 0", got.scalars)
+	}
+	// The one flushed chunk decodes inline in batchBlock-record sub-batches;
+	// the staged tail is one extra batch.
+	if want := recorderChunkSize/batchBlock + 1; got.batches != want || got.lastN != recorderChunkSize/2 {
+		t.Fatalf("got %d batches, the last of %d records; want %d, the last (the staged tail) of %d",
+			got.batches, got.lastN, want, recorderChunkSize/2)
 	}
 	if !reflect.DeepEqual(want.recs, got.recs) {
 		t.Fatal("batch Replay differs from the scalar reference")
@@ -181,7 +191,7 @@ func TestBatchMultiEvalMixed(t *testing.T) {
 
 // TestBatchFileRoundTrip proves the batch path over traces that crossed the
 // file format: a stream written as VPTRC02 and read back into a fresh
-// Recorder replays identically on the batch and scalar paths, and matches
+// Recorder replays identically to batch and scalar consumers, and matches
 // the original stream (v2 preserves all fields and derives Seq from
 // position, which this stream satisfies by construction).
 func TestBatchFileRoundTrip(t *testing.T) {
@@ -334,8 +344,10 @@ func TestRecordingPooledBuffers(t *testing.T) {
 }
 
 // TestReplayResidentBytes pins the spill-aware resident accounting: fully
-// resident recorders report their encoded bytes, spilled ones add the
-// double-buffered readback working set instead of reporting zero.
+// resident recorders report their encoded bytes, spilled ones add one
+// chunk-sized readback buffer per batch the walk holds instead of
+// reporting zero — one on the inline walk (one proc), two per decode lane
+// on the pipelined walk.
 func TestReplayResidentBytes(t *testing.T) {
 	resident := NewRecorder()
 	for i := int64(0); i < recorderChunkSize; i++ {
@@ -352,7 +364,7 @@ func TestReplayResidentBytes(t *testing.T) {
 
 	spilled := NewRecorder()
 	spilled.SetMemBudget(1)
-	for i := int64(0); i < 2*recorderChunkSize; i++ {
+	for i := int64(0); i < 4*recorderChunkSize; i++ {
 		r := synthRecord(i)
 		spilled.Consume(&r)
 	}
@@ -361,12 +373,17 @@ func TestReplayResidentBytes(t *testing.T) {
 	if spilled.BytesResident() != 0 {
 		t.Fatalf("spilled BytesResident = %d, want 0", spilled.BytesResident())
 	}
-	got := spilled.ReplayResidentBytes()
-	if got <= 0 {
-		t.Fatalf("spilled ReplayResidentBytes = %d, want > 0", got)
+	if spilled.maxChunkBytes <= 0 {
+		t.Fatalf("spilled maxChunkBytes = %d", spilled.maxChunkBytes)
 	}
-	// Two read buffers of the largest chunk.
-	if max := spilled.EncodedBytes(); got >= 2*max {
-		t.Fatalf("spilled ReplayResidentBytes = %d, want < 2*EncodedBytes (%d)", got, 2*max)
+	// Four chunks: the inline walk at one proc; three decode lanes at four.
+	for _, tc := range []struct{ procs, buffers int }{{1, 1}, {4, 6}} {
+		prev := runtime.GOMAXPROCS(tc.procs)
+		got := spilled.ReplayResidentBytes()
+		runtime.GOMAXPROCS(prev)
+		if want := int64(tc.buffers) * spilled.maxChunkBytes; got != want {
+			t.Errorf("GOMAXPROCS=%d: spilled ReplayResidentBytes = %d, want %d (%d chunk buffers)",
+				tc.procs, got, want, tc.buffers)
+		}
 	}
 }

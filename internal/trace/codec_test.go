@@ -20,14 +20,38 @@ func synthStream(first, n int64) []Record {
 	return recs
 }
 
+// decodeRecords decodes an encoded chunk with the batch decoder and
+// materializes it through Batch.Records: whole (decodeBatch), or in
+// batchBlock-record sub-batches (streamBatch) when stream is set.
+func decodeRecords(data []byte, firstSeq int64, withSeq, strict, stream bool) ([]Record, error) {
+	var d chunkDecoder
+	if err := d.init(data, firstSeq, withSeq, strict); err != nil {
+		return nil, err
+	}
+	var b Batch
+	if !stream {
+		if err := d.decodeBatch(&b); err != nil {
+			return nil, err
+		}
+		return b.Records(make([]Record, b.N)), nil
+	}
+	out := make([]Record, 0, d.n)
+	if err := d.streamBatch(&b, func(b *Batch) {
+		out = append(out, b.Records(make([]Record, b.N))...)
+	}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 func TestCodecRoundTrip(t *testing.T) {
 	// Streams shaped to drive each speculative column-width emitter.
 	for name, recs := range widthStreams() {
 		for _, withSeq := range []bool{true, false} {
 			var enc chunkEncoder
 			data := encodeRecords(&enc, nil, recs, 0, withSeq)
-			out := make([]Record, len(recs))
-			if _, err := decodeChunk(out, data, 0, withSeq, false); err != nil {
+			out, err := decodeRecords(data, 0, withSeq, false, false)
+			if err != nil {
 				t.Fatalf("%s withSeq=%v: decode: %v", name, withSeq, err)
 			}
 			if !reflect.DeepEqual(out, recs) {
@@ -40,16 +64,14 @@ func TestCodecRoundTrip(t *testing.T) {
 			recs := synthStream(1234, n)
 			var enc chunkEncoder
 			data := encodeRecords(&enc, nil, recs, 1234, withSeq)
-			out := make([]Record, n)
-			got, err := decodeChunk(out, data, 1234, withSeq, true)
-			if err != nil {
-				t.Fatalf("n=%d withSeq=%v: decode: %v", n, withSeq, err)
-			}
-			if int64(got) != n {
-				t.Fatalf("n=%d withSeq=%v: decoded %d records", n, withSeq, got)
-			}
-			if !reflect.DeepEqual(out, recs) {
-				t.Fatalf("n=%d withSeq=%v: round trip differs", n, withSeq)
+			for _, stream := range []bool{false, true} {
+				out, err := decodeRecords(data, 1234, withSeq, true, stream)
+				if err != nil {
+					t.Fatalf("n=%d withSeq=%v stream=%v: decode: %v", n, withSeq, stream, err)
+				}
+				if !reflect.DeepEqual(out, recs) {
+					t.Fatalf("n=%d withSeq=%v stream=%v: round trip differs", n, withSeq, stream)
+				}
 			}
 		}
 	}
@@ -67,8 +89,8 @@ func TestCodecRoundTripExtremes(t *testing.T) {
 	}
 	var enc chunkEncoder
 	data := encodeRecords(&enc, nil, recs, 0, true)
-	out := make([]Record, len(recs))
-	if _, err := decodeChunk(out, data, 0, true, false); err != nil {
+	out, err := decodeRecords(data, 0, true, false, false)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(out, recs) {
@@ -89,11 +111,11 @@ func TestCodecEncoderReuse(t *testing.T) {
 	if string(dataB) != string(fresh) {
 		t.Fatal("reused encoder produced different bytes than a fresh one")
 	}
-	out := make([]Record, 100)
-	if _, err := decodeChunk(out[:100], dataA, 0, true, false); err != nil {
+	out, err := decodeRecords(dataA, 0, true, false, false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out[:100], a) {
+	if !reflect.DeepEqual(out, a) {
 		t.Fatal("chunk A corrupted by encoder reuse")
 	}
 }
@@ -104,26 +126,42 @@ func TestCodecRejectsTruncation(t *testing.T) {
 	recs := synthStream(0, 300)
 	var enc chunkEncoder
 	data := encodeRecords(&enc, nil, recs, 0, true)
-	out := make([]Record, len(recs)+1)
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := decodeChunk(out, data[:cut], 0, true, true); err == nil {
+		if _, err := decodeRecords(data[:cut], 0, true, true, false); err == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded without error", cut, len(data))
 		}
 	}
 	// The full chunk still decodes, so the loop above exercised real data.
-	if n, err := decodeChunk(out, data, 0, true, true); err != nil || n != len(recs) {
-		t.Fatalf("full decode: n=%d err=%v", n, err)
+	if out, err := decodeRecords(data, 0, true, true, false); err != nil || len(out) != len(recs) {
+		t.Fatalf("full decode: n=%d err=%v", len(out), err)
 	}
 }
 
+// TestCodecRejectsTrailingBytes: bytes past the chunk payload, and a varint
+// column holding more varints than the chunk has records, are errors for
+// both the whole-chunk and the sub-batch decode.
 func TestCodecRejectsTrailingBytes(t *testing.T) {
-	recs := synthStream(0, 10)
 	var enc chunkEncoder
-	data := encodeRecords(&enc, nil, recs, 0, false)
-	data = append(data, 0x00)
-	out := make([]Record, 10)
-	if _, err := decodeChunk(out, data, 0, false, true); err == nil {
-		t.Fatal("trailing byte accepted")
+	trailing := append(encodeRecords(&enc, nil, synthStream(0, 10), 0, false), 0x00)
+
+	// A 4-record chunk whose addr column (one byte per varint) carries a
+	// fifth varint, with its length prefix bumped to match.
+	base := encodeRecords(&enc, nil, synthStream(0, 4), 0, false)
+	const addrLen = 1 + 5*4 // count byte, then op/flags/dest (4 bytes each) and reads (8)
+	if base[addrLen] != 4 {
+		t.Fatalf("addr column length = %d, want 4", base[addrLen])
+	}
+	extra := append([]byte(nil), base[:addrLen]...)
+	extra = append(extra, 5)
+	extra = append(extra, base[addrLen+1:addrLen+5]...)
+	extra = append(extra, 0x00)
+	extra = append(extra, base[addrLen+5:]...)
+	for name, data := range map[string][]byte{"trailing byte": trailing, "extra addr varint": extra} {
+		for _, stream := range []bool{false, true} {
+			if _, err := decodeRecords(data, 0, false, true, stream); err == nil {
+				t.Errorf("%s accepted (stream=%v)", name, stream)
+			}
+		}
 	}
 }
 
@@ -134,18 +172,19 @@ func TestCodecStrictRejectsInvalidOpDir(t *testing.T) {
 
 	badOp := append([]byte(nil), base...)
 	badOp[2] = 0xee // second op byte (byte 0 is the count uvarint)
-	out := make([]Record, 4)
-	if _, err := decodeChunk(out, badOp, 0, false, true); err == nil {
-		t.Fatal("strict decode accepted an invalid opcode")
+	_, err := decodeRecords(badOp, 0, false, true, false)
+	if err == nil || err.Error() != "trace: invalid opcode 238 in record 1" {
+		t.Fatalf("strict decode of an invalid opcode: err = %v", err)
 	}
-	if _, err := decodeChunk(out, badOp, 0, false, false); err != nil {
+	if _, err := decodeRecords(badOp, 0, false, false, false); err != nil {
 		t.Fatalf("lenient decode rejected in-memory chunk: %v", err)
 	}
 
 	badDir := append([]byte(nil), base...)
 	badDir[1+4+1] = 0x30 // flags byte of record 1: Dir=3, invalid
-	if _, err := decodeChunk(out, badDir, 0, false, true); err == nil {
-		t.Fatal("strict decode accepted an invalid directive")
+	_, err = decodeRecords(badDir, 0, false, true, false)
+	if err == nil || err.Error() != "trace: invalid directive 3 in record 1" {
+		t.Fatalf("strict decode of an invalid directive: err = %v", err)
 	}
 }
 

@@ -103,29 +103,24 @@ func (st *RecordColumns) appendRecord(r *Record) {
 	st.N = i + 1
 }
 
-// materialize reconstructs the staged records into out (which must hold N
-// records) — how the unsealed staging tail is replayed, bit-identical to the
-// records that were appended.
-func (st *RecordColumns) materialize(out []Record) {
-	for i := range out[:st.N] {
-		r := &out[i]
-		f := st.Flags[i]
-		r.Addr = st.Addr[i]
-		r.Op = isa.Opcode(st.Op[i])
-		r.Dir = isa.Directive(f >> 4)
-		r.HasDest = f&1 != 0
-		r.DestFP = f&2 != 0
-		r.Dest = isa.Reg(st.Dest[i])
-		r.Value = st.Value[i]
-		r.Phase = int(st.Phase[i])
-		r.Seq = st.Seq[i]
-		b0, b1 := st.Reads[2*i], st.Reads[2*i+1]
-		r.Reads[0] = RegRead{Valid: b0&0x80 != 0, FP: b0&0x40 != 0, Reg: isa.Reg(b0 & 0x3f)}
-		r.Reads[1] = RegRead{Valid: b1&0x80 != 0, FP: b1&0x40 != 0, Reg: isa.Reg(b1 & 0x3f)}
-		r.Taken = f&4 != 0
-		r.HasMem = f&8 != 0
-		r.MemAddr = st.Mem[i]
+// viewStage points b at the st.N records staged in st — the Batch form of
+// a column stage: every column aliases the stage except Dir, which is
+// widened from the flags bits into b's own scratch. ColumnSink delivers its
+// filled stages through it and the Recorder replays its unsealed tail
+// through it. b must not be a pooled decode batch, whose columns the next
+// decode would then write into the stage.
+func (b *Batch) viewStage(st *RecordColumns) {
+	n := st.N
+	if cap(b.Dir) < n {
+		b.Dir = make([]isa.Directive, n)
 	}
+	b.Dir = b.Dir[:n]
+	for i, f := range st.Flags[:n] {
+		b.Dir[i] = isa.Directive(f >> 4)
+	}
+	b.N, b.FirstSeq = n, st.FirstSeq
+	b.Op, b.Flags, b.Dest, b.Reads = st.Op[:n], st.Flags[:n], st.Dest[:n], st.Reads[:2*n]
+	b.Addr, b.Value, b.MemAddr, b.Phase, b.Seq = st.Addr[:n], st.Value[:n], st.Mem[:n], st.Phase[:n], st.Seq[:n]
 }
 
 // newRecordColumns allocates a stage of capacity n.
@@ -144,7 +139,7 @@ func newRecordColumns(n int) *RecordColumns {
 }
 
 // colsPool recycles chunk-sized stages across Recorders and ColumnSinks,
-// the record-side twin of slabPool (~0.6 MiB each).
+// the record-side twin of batchPool (~0.6 MiB each).
 var colsPool = sync.Pool{New: func() any { return newRecordColumns(recorderChunkSize) }}
 
 func getCols() *RecordColumns {
@@ -189,7 +184,6 @@ type ColumnAppender interface {
 type ColumnSink struct {
 	c     BatchConsumer
 	st    *RecordColumns
-	dir   []isa.Directive
 	batch Batch
 	n     int64
 }
@@ -197,7 +191,7 @@ type ColumnSink struct {
 // NewColumnSink returns a sink feeding c. Call Close when done to return the
 // pooled stage.
 func NewColumnSink(c BatchConsumer) *ColumnSink {
-	return &ColumnSink{c: c, st: getCols(), dir: make([]isa.Directive, recorderChunkSize)}
+	return &ColumnSink{c: c, st: getCols()}
 }
 
 // Consume implements the per-record path: records delivered one at a time
@@ -219,27 +213,9 @@ func (s *ColumnSink) FlushColumns() *RecordColumns {
 	if st.N == 0 {
 		return st
 	}
-	n := st.N
-	dir := s.dir[:n]
-	for i, f := range st.Flags[:n] {
-		dir[i] = isa.Directive(f >> 4)
-	}
-	s.batch = Batch{
-		N:        n,
-		FirstSeq: st.FirstSeq,
-		Op:       st.Op[:n],
-		Flags:    st.Flags[:n],
-		Dest:     st.Dest[:n],
-		Reads:    st.Reads[:2*n],
-		Dir:      dir,
-		Addr:     st.Addr[:n],
-		Value:    st.Value[:n],
-		MemAddr:  st.Mem[:n],
-		Phase:    st.Phase[:n],
-		Seq:      st.Seq[:n],
-	}
+	s.batch.viewStage(st)
 	s.c.ConsumeBatch(&s.batch)
-	s.n += int64(n)
+	s.n += int64(st.N)
 	st.N = 0
 	st.FirstSeq = s.n
 	return st

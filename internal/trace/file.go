@@ -342,7 +342,7 @@ type Reader struct {
 	format Format
 
 	// v2 state: the decoded frame being drained.
-	buf     []Record
+	batch   Batch
 	bi      int
 	payload []byte
 	seq     int64 // records handed out so far (the derived Seq basis)
@@ -375,17 +375,17 @@ func (tr *Reader) Next(r *Record) error {
 	if tr.format == FormatV1 {
 		return tr.nextV1(r)
 	}
-	for tr.bi >= len(tr.buf) {
+	for tr.bi >= tr.batch.N {
 		if err := tr.readFrame(); err != nil {
 			return err
 		}
 	}
-	*r = tr.buf[tr.bi]
+	tr.batch.Record(tr.bi, r)
 	tr.bi++
 	return nil
 }
 
-// readFrame reads and decodes the next VPTRC02 frame into tr.buf.
+// readFrame reads and decodes the next VPTRC02 frame into tr.batch.
 func (tr *Reader) readFrame() error {
 	var hdr [8]byte
 	if _, err := io.ReadFull(tr.r, hdr[:]); err != nil {
@@ -415,14 +415,12 @@ func (tr *Reader) readFrame() error {
 		return fmt.Errorf("trace: %w: frame CRC mismatch (stored %#x, computed %#x)", ErrCorrupt, crc, got)
 	}
 	var d chunkDecoder
-	if err := d.init(tr.payload, tr.seq, false, true); err != nil {
-		return fmt.Errorf("trace: %w: %w", ErrCorrupt, err)
+	err := d.init(tr.payload, tr.seq, false, true)
+	if err == nil {
+		err = d.decodeBatch(&tr.batch)
 	}
-	if cap(tr.buf) < d.n {
-		tr.buf = make([]Record, d.n)
-	}
-	tr.buf = tr.buf[:d.n]
-	if err := d.decodeAll(tr.buf); err != nil {
+	if err != nil {
+		tr.batch.N = 0 // nothing of a corrupt frame is handed out
 		return fmt.Errorf("trace: %w: %w", ErrCorrupt, err)
 	}
 	tr.bi = 0

@@ -27,15 +27,14 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			}
 		}
 		var enc chunkEncoder
-		out := make([]Record, n)
 		for _, withSeq := range []bool{true, false} {
 			data := encodeRecords(&enc, nil, recs, 0, withSeq)
-			got, err := decodeChunk(out, data, 0, withSeq, true)
+			out, err := decodeRecords(data, 0, withSeq, true, false)
 			if err != nil {
 				t.Fatalf("withSeq=%v: decode: %v", withSeq, err)
 			}
-			if int64(got) != n {
-				t.Fatalf("withSeq=%v: decoded %d records, want %d", withSeq, got, n)
+			if int64(len(out)) != n {
+				t.Fatalf("withSeq=%v: decoded %d records, want %d", withSeq, len(out), n)
 			}
 			want := recs
 			if !withSeq {
@@ -54,6 +53,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 
 // FuzzChunkDecoder throws arbitrary bytes at the strict chunk decoder; it
 // must return an error or decode cleanly, never panic or read out of range.
+// The whole-chunk and the sub-batch decode must agree on whether the input
+// is an error and, if not, on every record.
 func FuzzChunkDecoder(f *testing.F) {
 	recs := synthStream(0, 64)
 	var enc chunkEncoder
@@ -61,17 +62,25 @@ func FuzzChunkDecoder(f *testing.F) {
 	f.Add(encodeRecords(&enc, nil, recs, 0, false))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
-	out := make([]Record, recorderChunkSize)
+	f.Add(encodeRecords(&enc, nil, synthStream(0, 3*batchBlock+5), 0, true))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, withSeq := range []bool{true, false} {
-			n, err := decodeChunk(out, data, 0, withSeq, true)
-			if err == nil {
-				// Whatever decoded must re-encode to a decodable chunk.
-				var e chunkEncoder
-				re := encodeRecords(&e, nil, out[:n], 0, withSeq)
-				if _, err := decodeChunk(out[:n], re, 0, withSeq, true); err != nil {
-					t.Fatalf("withSeq=%v: re-encode of decoded chunk failed: %v", withSeq, err)
-				}
+			out, err := decodeRecords(data, 0, withSeq, true, false)
+			streamed, serr := decodeRecords(data, 0, withSeq, true, true)
+			if (err == nil) != (serr == nil) {
+				t.Fatalf("withSeq=%v: whole-chunk err = %v, sub-batch err = %v", withSeq, err, serr)
+			}
+			if err != nil {
+				continue
+			}
+			if !reflect.DeepEqual(out, streamed) {
+				t.Fatalf("withSeq=%v: sub-batch decode differs from whole-chunk decode", withSeq)
+			}
+			// Whatever decoded must re-encode to a decodable chunk.
+			var e chunkEncoder
+			re := encodeRecords(&e, nil, out, 0, withSeq)
+			if _, err := decodeRecords(re, 0, withSeq, true, false); err != nil {
+				t.Fatalf("withSeq=%v: re-encode of decoded chunk failed: %v", withSeq, err)
 			}
 		}
 	})

@@ -18,6 +18,8 @@ import (
 // exactly the record sequence its own ReplayDirs/Replay call would have
 // produced, so per-configuration results are bit-identical to separate
 // replays (the equivalence is asserted by TestMultiEvalMatchesSeparateReplays).
+// evalPass is the only fan-out: Replay and ReplayDirs run their consumers
+// as the configurations of a pass with one lane.
 
 // EvalConfig is one independent evaluation configuration of a MultiEval
 // pass: a consumer plus the per-address directive table to patch into each
@@ -37,18 +39,17 @@ type EvalConfig struct {
 // negative) — the quantity the vpserve trace_replay_passes_saved metric
 // accumulates.
 //
-// The walk is chunk-tiled: each columnar chunk is decoded once and then run
-// through every configuration's tight per-consumer loop before the walk
-// advances, so the decode cost amortizes over all configurations and
-// configurations 2..N read the decoded chunk from cache instead of
-// re-streaming (or re-decoding) the multi-megabyte buffer. Every consumer
-// still observes exactly the record sequence its own ReplayDirs/Replay call
-// would have produced — configurations share nothing, so the tiling
-// granularity is unobservable. For the same reason batch-kernel
-// configurations are evaluated in parallel lanes on multi-core machines
-// (see multiEvalBatch) without changing any result.
+// The walk is batch-tiled: each chunk is decoded once and then run through
+// every configuration before the walk advances, so the decode cost
+// amortizes over all configurations and configurations 2..N read the
+// decoded batch from cache instead of re-streaming (or re-decoding) the
+// multi-megabyte buffer. Every consumer still observes exactly the record
+// sequence its own ReplayDirs/Replay call would have produced —
+// configurations share nothing, so the tiling granularity is unobservable.
+// For the same reason configurations are evaluated in parallel lanes on
+// multi-core machines (see evalPass) without changing any result.
 //
-// Directive patching writes to per-call scratch, never to the recorded
+// Directive patching writes to per-lane scratch, never to the recorded
 // chunks, so concurrent MultiEval/Replay calls on one sealed Recorder are
 // safe. Consumers receive records under the standard read-only,
 // duration-of-the-call contract.
@@ -56,87 +57,51 @@ func (rc *Recorder) MultiEval(cfgs ...EvalConfig) int64 {
 	if len(cfgs) == 0 {
 		return 0
 	}
-	rc.passes.Add(1)
-	rc.drainEncode()
-	staged := rc.tailRecords()
-	nbatch := 0
-	for _, cfg := range cfgs {
-		if _, ok := cfg.Consumer.(BatchConsumer); ok {
-			nbatch++
-		}
-	}
-	if nbatch > 0 {
-		rc.multiEvalBatch(cfgs)
-	} else {
-		var scratch Record
-		rc.walkSlabs(func(chunk []Record) { evalRecords(cfgs, chunk, &scratch) })
-	}
-	if len(staged) > 0 {
-		var scratch Record
-		evalRecords(cfgs, staged, &scratch)
-	}
+	rc.evalPass(cfgs, runtime.GOMAXPROCS(0))
 	return int64(len(cfgs) - 1)
 }
 
-// evalRecords runs one decoded chunk through every configuration's
-// per-record consumer loop: the kernel of all-scalar configuration sets,
-// scalar consumers in a batch lane, and the staging tail of an unsealed
-// Recorder.
-func evalRecords(cfgs []EvalConfig, chunk []Record, scratch *Record) {
-	for _, cfg := range cfgs {
-		if cfg.Dirs == nil {
-			c := cfg.Consumer
-			for i := range chunk {
-				c.Consume(&chunk[i])
-			}
-			continue
-		}
-		dirs, c := cfg.Dirs, cfg.Consumer
-		for i := range chunk {
-			*scratch = chunk[i]
-			if a := scratch.Addr; a >= 0 && a < int64(len(dirs)) {
-				scratch.Dir = dirs[a]
-			} else {
-				scratch.Dir = isa.DirNone
-			}
-			c.Consume(scratch)
-		}
-	}
-}
-
-// multiEvalBatch is the column-batch MultiEval walk. Each chunk is decoded
-// once into a Batch, and the configurations, dealt round-robin into
-// min(GOMAXPROCS, len(cfgs)) lanes, evaluate it: lane 0 on the walking
-// goroutine, the others on goroutines of their own that receive the same
-// read-only batch, so the kernels of one chunk run in parallel while the
-// decode-ahead lanes (walkPipe) decode the next. The walk waits for every
-// lane before advancing, since the batch is recycled when it returns. At
-// one proc there is one lane and no goroutine. The split is unobservable
-// because configurations share nothing (see EvalConfig): each is run by
-// exactly one lane, over the same batch sequence. A consumer panic stops
-// the walk once every lane has finished the batch, and is re-raised on the
-// caller.
-func (rc *Recorder) multiEvalBatch(cfgs []EvalConfig) {
-	lanes := make([]*evalLane, min(runtime.GOMAXPROCS(0), len(cfgs)))
+// evalPass is one replay pass — Replay, ReplayDirs or MultiEval: one walk
+// over the stream, every batch evaluated by every configuration. Batch
+// kernels get the columns; if any configuration is a per-record consumer,
+// each batch is first materialized once into Records that every lane
+// reads. The configurations are dealt round-robin into min(maxLanes,
+// len(cfgs)) lanes: lane 0 runs on the walking goroutine, the others on
+// goroutines of their own that receive the same read-only batch, so the
+// kernels of one chunk run in parallel while the decode-ahead lanes
+// (walkPipe) decode the next. The walk waits for every lane before
+// advancing, since the batch is recycled when it returns. With one lane
+// there is no goroutine. A consumer panic stops the walk once every lane
+// has finished the batch, and is re-raised on the caller.
+func (rc *Recorder) evalPass(cfgs []EvalConfig, maxLanes int) {
+	rc.passes.Add(1)
+	rc.drainEncode()
+	lanes := make([]*evalLane, max(1, min(maxLanes, len(cfgs))))
 	for k := range lanes {
 		lanes[k] = &evalLane{}
 	}
+	perRecord := false
 	for i, cfg := range cfgs {
 		l := lanes[i%len(lanes)]
 		l.cfgs = append(l.cfgs, cfg)
-		if _, ok := cfg.Consumer.(BatchConsumer); !ok && l.slab == nil {
-			l.slab = getSlab()
+		if _, ok := cfg.Consumer.(BatchConsumer); !ok {
+			perRecord = true
 		}
 	}
-	defer func() {
-		for _, l := range lanes {
-			if l.slab != nil {
-				putSlab(l.slab)
+	var recs []Record // the current batch materialized, when perRecord
+	fillRecs := func(b *Batch) {
+		if perRecord {
+			if cap(recs) < b.N {
+				recs = make([]Record, b.N)
 			}
+			recs = b.Records(recs)
 		}
-	}()
-	if len(lanes) == 1 || len(rc.chunks) == 0 {
-		rc.walkBatches(lanes[0].eval)
+	}
+	if len(lanes) == 1 {
+		rc.walk(func(b *Batch) {
+			fillRecs(b)
+			lanes[0].eval(b, recs)
+		})
 		return
 	}
 
@@ -148,7 +113,9 @@ func (rc *Recorder) multiEvalBatch(cfgs []EvalConfig) {
 		go func(l *evalLane) {
 			defer wg.Done()
 			for b := range l.in {
-				l.failure = l.tryEval(b)
+				// recs was written before b was sent and is rewritten
+				// only after done is received.
+				l.failure = l.tryEval(b, recs)
 				l.done <- struct{}{}
 			}
 		}(l)
@@ -159,13 +126,14 @@ func (rc *Recorder) multiEvalBatch(cfgs []EvalConfig) {
 		}
 		wg.Wait()
 	}()
-	rc.walkBatches(func(b *Batch) {
+	rc.walk(func(b *Batch) {
+		fillRecs(b)
 		for _, l := range others {
 			l.in <- b
 		}
 		// Every lane finishes with b before anything is raised: the batch
 		// goes back to the decode pool when this function returns.
-		lanes[0].failure = lanes[0].tryEval(b)
+		lanes[0].failure = lanes[0].tryEval(b, recs)
 		for _, l := range others {
 			<-l.done
 		}
@@ -177,13 +145,12 @@ func (rc *Recorder) multiEvalBatch(cfgs []EvalConfig) {
 	})
 }
 
-// evalLane is one lane's share of a MultiEval pass and its private scratch.
+// evalLane is one lane's share of a replay pass and its private scratch.
 type evalLane struct {
-	cfgs    []EvalConfig
-	slab    *recSlab // materialized records for scalar consumers; nil when all are batch kernels
-	view    Batch    // the lane's view of the shared batch, with its own Dir column
-	dirs    []isa.Directive
-	scratch Record
+	cfgs []EvalConfig
+	view Batch // the lane's view of the shared batch, with its own Dir column
+	dirs []isa.Directive
+	rec  Record // a shared record with a configuration's directive patched in
 
 	in      chan *Batch
 	done    chan struct{}
@@ -191,40 +158,47 @@ type evalLane struct {
 }
 
 // eval runs one shared batch through the lane's configurations: batch
-// kernels over the columns (directive-carrying configurations see the
-// lane's patched Dir column), scalar consumers through the per-record loop
-// over the batch materialized once into the lane's slab. The shared batch
-// itself is only read.
-func (l *evalLane) eval(shared *Batch) {
+// kernels over the columns, per-record consumers record by record over
+// recs, the batch's shared materialized records. A directive-carrying
+// configuration sees the lane's patched Dir column, or a lane-owned copy of
+// each record with its directive patched. The shared batch and records
+// themselves are only read.
+func (l *evalLane) eval(shared *Batch, recs []Record) {
 	b := &l.view
 	*b = *shared
-	var recs []Record
-	if l.slab != nil {
-		recs = b.Records(l.slab.recs)
-	}
 	for j := range l.cfgs {
 		cfg := &l.cfgs[j]
-		bc, ok := cfg.Consumer.(BatchConsumer)
-		if !ok {
-			evalRecords(l.cfgs[j:j+1], recs, &l.scratch)
-			continue
-		}
-		b.Dir = shared.Dir
+		dir := shared.Dir
 		if cfg.Dirs != nil {
 			if cap(l.dirs) < b.N {
 				l.dirs = make([]isa.Directive, b.N)
 			}
-			l.dirs = l.dirs[:b.N]
-			patchDirs(l.dirs, b.Addr, cfg.Dirs)
-			b.Dir = l.dirs
+			dir = l.dirs[:b.N]
+			patchDirs(dir, b.Addr, cfg.Dirs)
 		}
-		bc.ConsumeBatch(b)
+		if bc, ok := cfg.Consumer.(BatchConsumer); ok {
+			b.Dir = dir
+			bc.ConsumeBatch(b)
+			continue
+		}
+		c := cfg.Consumer
+		if cfg.Dirs == nil {
+			for i := range recs {
+				c.Consume(&recs[i])
+			}
+			continue
+		}
+		for i := range recs {
+			l.rec = recs[i]
+			l.rec.Dir = dir[i]
+			c.Consume(&l.rec)
+		}
 	}
 }
 
 // tryEval is eval with a consumer panic returned instead of raised.
-func (l *evalLane) tryEval(b *Batch) (failure any) {
+func (l *evalLane) tryEval(b *Batch, recs []Record) (failure any) {
 	defer func() { failure = recover() }()
-	l.eval(b)
+	l.eval(b, recs)
 	return nil
 }

@@ -12,11 +12,10 @@ import (
 // pass must observe exactly the record stream its own Replay/ReplayDirs
 // call would have produced — at 1, 2 and 4 procs (one lane, and
 // configurations dealt over several lanes), for 1 to 7 configurations
-// mixing batch and scalar consumers, on a sealed trace and on an unsealed
-// one with a staged tail.
+// mixing batch and scalar consumers, on a sealed trace, on an unsealed one
+// with a staged tail, and on an unsealed one that is all tail.
 func TestMultiEvalMatchesSeparateReplays(t *testing.T) {
-	const n = recorderChunkSize + 321 // cross a chunk boundary
-	record := func(seal bool) *Recorder {
+	record := func(n int64, seal bool) *Recorder {
 		rc := NewRecorder()
 		for i := int64(0); i < n; i++ {
 			r := synthRecord(i)
@@ -48,8 +47,16 @@ func TestMultiEvalMatchesSeparateReplays(t *testing.T) {
 		mkDirs(10, func(i int) isa.Directive { return isa.DirStride }), // most addrs out of range
 	}
 
-	for _, sealed := range []bool{true, false} {
-		rc := record(sealed)
+	for _, tc := range []struct {
+		n      int64
+		sealed bool
+	}{
+		{recorderChunkSize + 321, true}, // cross a chunk boundary
+		{recorderChunkSize + 321, false},
+		{321, false},
+	} {
+		sealed := tc.sealed
+		rc := record(tc.n, sealed)
 		// Separate replays — the baseline semantics.
 		want := make([]capture, len(tables))
 		for i, dirs := range tables {
@@ -80,16 +87,16 @@ func TestMultiEvalMatchesSeparateReplays(t *testing.T) {
 				passesBefore := rc.Passes()
 				saved := rc.MultiEval(cfgs...)
 				if want := int64(ncfg - 1); saved != want {
-					t.Errorf("sealed=%v procs=%d configs=%d: passes saved = %d, want %d", sealed, procs, ncfg, saved, want)
+					t.Errorf("n=%d sealed=%v procs=%d configs=%d: passes saved = %d, want %d", tc.n, sealed, procs, ncfg, saved, want)
 				}
 				if passes := rc.Passes() - passesBefore; passes != 1 {
-					t.Errorf("sealed=%v procs=%d configs=%d: MultiEval took %d passes over the buffer, want 1",
-						sealed, procs, ncfg, passes)
+					t.Errorf("n=%d sealed=%v procs=%d configs=%d: MultiEval took %d passes over the buffer, want 1",
+						tc.n, sealed, procs, ncfg, passes)
 				}
 				for j := range cfgs {
 					if !slices.Equal(*streams[j], want[j%len(tables)].recs) {
-						t.Fatalf("sealed=%v procs=%d configs=%d: config %d stream differs from separate replay",
-							sealed, procs, ncfg, j)
+						t.Fatalf("n=%d sealed=%v procs=%d configs=%d: config %d stream differs from separate replay",
+							tc.n, sealed, procs, ncfg, j)
 					}
 				}
 			}

@@ -92,9 +92,10 @@ func chunkBytes(t *testing.T, rc *Recorder) [][]byte {
 	t.Helper()
 	rc.Seal()
 	var chunks [][]byte
-	rc.walkChunks(func(data []byte, n int, firstSeq int64) {
-		chunks = append(chunks, append([]byte(nil), data...))
-	})
+	var b Batch // spill readback scratch
+	for i := range rc.chunks {
+		chunks = append(chunks, append([]byte(nil), rc.chunkData(&rc.chunks[i], &b)...))
+	}
 	return chunks
 }
 
@@ -223,7 +224,7 @@ func TestWriterProducerPathsMatch(t *testing.T) {
 
 // FuzzColumnEncodeRoundTrip drives arbitrary integer columns through the
 // speculative uniform-width encode path (appendDeltaCol/appendRawCol) and the
-// matching speculative decoders, checking the round trip is the identity and
+// column cursor decoder, checking the round trip is the identity and
 // the encoding matches the canonical per-value varint byte for byte.
 func FuzzColumnEncodeRoundTrip(f *testing.F) {
 	f.Add(int64(0), uint16(1), int64(1), false)
@@ -283,8 +284,12 @@ func FuzzColumnEncodeRoundTrip(f *testing.F) {
 		}
 
 		out := make([]int64, n)
-		if err := decodeVarintCol(body, out, delta); err != nil {
+		cur := newColCursor(body, len(vals), delta)
+		if err := cur.decode(out, 0); err != nil {
 			t.Fatalf("decode: %v", err)
+		}
+		if cur.trailing() != 0 {
+			t.Fatalf("%d bytes left over after the column", cur.trailing())
 		}
 		if !reflect.DeepEqual(out, vals) {
 			t.Fatal("column round trip differs")

@@ -20,12 +20,14 @@ import (
 // Storage is structure-of-arrays: records are staged in columns one chunk
 // at a time (colstage.go) and encoded into the packed columnar form of
 // codec.go when the chunk fills (~10 bytes/record against the 56-byte
-// Record struct). Replay hands batch kernels the decoded columns and
-// everything else one materialized Record per iteration, so consumers
-// observe exactly the live-run contract and never touch the encoded form. When a resident-bytes
-// budget is set, encoded chunks past the budget spill to an anonymous temp
-// file and are read back positionally during replay (spill.go), so traces
-// larger than RAM replay at near-resident speed.
+// Record struct). Every replay is one walk over decoded Batches — the
+// flushed chunks, then the unsealed staging tail viewed as one more batch —
+// fanned out by evalPass (multieval.go): batch kernels get the columns,
+// per-record consumers the batch materialized into Records, so consumers
+// observe exactly the live-run contract and never touch the encoded form.
+// When a resident-bytes budget is set, encoded chunks past the budget spill
+// to an anonymous temp file and are read back positionally during replay
+// (spill.go), so traces larger than RAM replay at near-resident speed.
 
 // recorderChunkSize is the number of records per storage chunk: 16384
 // records stage into ~0.9 MiB of Record structs and encode into roughly
@@ -61,7 +63,6 @@ type rchunk struct {
 // catch any consumer that violates it.
 type Recorder struct {
 	cols     *RecordColumns // staging columns of the chunk being filled
-	tailSlab *recSlab       // scratch for materializing the staged tail in replays
 	enc      *chunkEncoder
 	chunks   []rchunk
 	nFlushed int64 // records in flushed (encoded or encode-queued) chunks
@@ -165,15 +166,15 @@ func (rc *Recorder) BytesResident() int64 {
 
 // ReplayResidentBytes returns the peak in-memory working set of one replay
 // pass over the flushed chunks: the resident encoded bytes plus, when any
-// chunk has spilled, two chunk-sized read buffers (readback is double
-// buffered — one chunk decoding while the next is fetched). This is the
-// honest per-pass memory figure for a spilled trace, where BytesResident
-// alone would report a misleading zero.
+// chunk has spilled, one chunk-sized read buffer per batch the walk holds —
+// one on the inline walk, two per decode lane on the pipelined walk (see
+// walkPipe). This is the honest per-pass memory figure for a spilled trace,
+// where BytesResident alone would report a misleading zero.
 func (rc *Recorder) ReplayResidentBytes() int64 {
 	rc.drainEncode()
 	b := rc.residentBytes
 	if rc.spilledChunks > 0 {
-		b += 2 * rc.maxChunkBytes
+		b += int64(max(1, 2*decodeLanes(len(rc.chunks)))) * rc.maxChunkBytes
 	}
 	return b
 }
@@ -207,10 +208,6 @@ func (rc *Recorder) Seal() {
 		}
 		putCols(rc.cols)
 		rc.cols = nil
-	}
-	if rc.tailSlab != nil {
-		putSlab(rc.tailSlab)
-		rc.tailSlab = nil
 	}
 	if rc.enc != nil {
 		encoderPool.Put(rc.enc)
@@ -395,84 +392,14 @@ func (rc *Recorder) appendEncoded(data []byte, n int) {
 	rc.chunksEncoded++
 }
 
-// tailRecords returns the partially filled staging tail as records,
-// materialized from the column stage into pooled scratch (valid until the
-// next Consume or flush). Sealed recorders have no tail.
-func (rc *Recorder) tailRecords() []Record {
-	if rc.cols == nil || rc.cols.N == 0 {
-		return nil
+// chunkData returns chunk c's encoded bytes: the resident encoding, or
+// the spilled one read back into b's scratch.
+func (rc *Recorder) chunkData(c *rchunk, b *Batch) []byte {
+	if c.data != nil {
+		return c.data
 	}
-	if rc.tailSlab == nil {
-		rc.tailSlab = getSlab()
-	}
-	out := rc.tailSlab.recs[:rc.cols.N]
-	rc.cols.materialize(out)
-	return out
+	return rc.spill.read(c, b.spillBuf(int(c.size)))
 }
-
-// walkChunks streams every flushed chunk's encoded bytes through fn in
-// record order, reading spilled chunks back inline into one reused buffer.
-// fn must fully consume data before returning. The staging tail is NOT
-// walked — callers feed tailRecords directly after the walk.
-func (rc *Recorder) walkChunks(fn func(data []byte, n int, firstSeq int64)) {
-	var buf []byte
-	firstSeq := int64(0)
-	for i := range rc.chunks {
-		c := &rc.chunks[i]
-		data := c.data
-		if data == nil {
-			if cap(buf) < int(c.size) {
-				buf = make([]byte, c.size)
-			}
-			data = rc.spill.read(c, buf[:c.size])
-		}
-		fn(data, int(c.n), firstSeq)
-		firstSeq += int64(c.n)
-	}
-}
-
-// mustDecodeChunk batch-decodes a chunk the Recorder encoded itself into
-// out; failure would mean memory or spill-file corruption.
-func mustDecodeChunk(out []Record, data []byte, firstSeq int64) int {
-	n, err := decodeChunk(out, data, firstSeq, true, false)
-	if err != nil {
-		panic("trace: corrupt recorded chunk: " + err.Error())
-	}
-	return n
-}
-
-// recSlab is one pooled chunk-sized Record buffer plus the per-buffer
-// scratch for reading a spilled chunk back from disk. The spill scratch
-// lives on the buffer (not the decode lane) because the pipelined walk
-// reads chunk i+lanes while the consumer still holds chunk i — a
-// lane-shared buffer would be overwritten under the consumer's feet. That
-// hazard is theoretical for fully materialized Record slabs but real for
-// batches, whose byte columns alias the encoded bytes; keeping the scratch
-// per-buffer makes both walks safe by construction.
-type recSlab struct {
-	recs []Record
-	n    int
-	raw  []byte
-}
-
-// spillBuf returns the slab-owned scratch for reading one spilled chunk.
-func (s *recSlab) spillBuf(size int) []byte {
-	if cap(s.raw) < size {
-		s.raw = make([]byte, size)
-	}
-	s.raw = s.raw[:size]
-	return s.raw
-}
-
-// slabPool recycles chunk-sized decode slabs across replay passes. A slab is
-// ~0.9 MiB, so per-pass allocation would dominate short replays; the pool
-// keeps steady-state replay allocation-free.
-var slabPool = sync.Pool{New: func() any {
-	return &recSlab{recs: make([]Record, recorderChunkSize)}
-}}
-
-func getSlab() *recSlab  { return slabPool.Get().(*recSlab) }
-func putSlab(s *recSlab) { slabPool.Put(s) }
 
 // decodeLanes picks the decode-ahead width for a replay pass: one lane per
 // spare CPU up to six (the chunk transpose costs ~16 ns/record against
@@ -494,38 +421,36 @@ func decodeLanes(nchunks int) int {
 	return w
 }
 
-// walkPipe streams every flushed chunk through deliver as a decoded buffer
-// (a Record slab or a column Batch), in record order. On multi-core
-// machines the decode runs ahead of the consumer on a small pool of worker
-// lanes — chunk i is decoded on lane i%lanes while the consumer walks
-// earlier buffers, so the per-record cost of the consume loop approaches
-// the raw in-memory walk and the decode hides behind it. Each lane owns two
-// buffers (decode one while the consumer holds the other); delivery is
+// walkPipe streams every flushed chunk through fn as decoded column
+// Batches, in record order. Each batch is valid only until fn returns —
+// every column is rewritten on the next decode; its byte columns alias
+// either the immutable resident chunk or the batch-owned spill scratch, so
+// concurrent replays never share mutable state. On multi-core machines the
+// decode runs ahead of the consumer on a small pool of worker lanes — chunk
+// i is decoded whole on lane i%lanes while the consumer walks earlier
+// batches, so the per-record cost of the consume loop approaches the raw
+// in-memory walk and the decode hides behind it. Each lane owns two
+// batches (decode one while the consumer holds the other); delivery is
 // strictly round-robin, which keeps record order without any reordering
 // buffer. Spilled chunks are read back by the lane that decodes them
-// (positional reads are independent) into buffer-owned scratch. Single-core
-// or tiny traces fall back to inline decode and inline reads through
-// walkChunks. The buffer passed to deliver is
-// valid only until deliver returns — every element is rewritten on the next
-// decode.
-func walkPipe[B interface{ spillBuf(size int) []byte }](
-	rc *Recorder,
-	get func() B, put func(B),
-	decode func(buf B, data []byte, firstSeq int64),
-	deliver func(buf B),
-) {
+// (positional reads are independent) into batch-owned scratch. Single-core
+// or tiny traces decode inline into one batch, delivering each chunk as
+// cache-resident sub-batches (see streamBatch).
+func (rc *Recorder) walkPipe(fn func(*Batch)) {
 	nchunks := len(rc.chunks)
 	if nchunks == 0 {
 		return
 	}
 	lanes := decodeLanes(nchunks)
 	if lanes == 0 {
-		buf := get()
-		defer put(buf)
-		rc.walkChunks(func(data []byte, n int, firstSeq int64) {
-			decode(buf, data, firstSeq)
-			deliver(buf)
-		})
+		b := getBatch()
+		defer putBatch(b)
+		var firstSeq int64
+		for i := range rc.chunks {
+			c := &rc.chunks[i]
+			decodeRecorded(b, rc.chunkData(c, b), firstSeq, fn)
+			firstSeq += int64(c.n)
+		}
 		return
 	}
 
@@ -537,17 +462,17 @@ func walkPipe[B interface{ spillBuf(size int) []byte }](
 	}
 
 	type lane struct {
-		out  chan B // decoded buffers, in this lane's chunk order
-		free chan B // buffers returned by the consumer
+		out  chan *Batch // decoded batches, in this lane's chunk order
+		free chan *Batch // batches returned by the consumer
 	}
 	ls := make([]lane, lanes)
 	done := make(chan struct{})
 	panics := make(chan any, lanes)
 	var wg sync.WaitGroup
 	for w := range ls {
-		ls[w] = lane{out: make(chan B, 1), free: make(chan B, 2)}
-		ls[w].free <- get()
-		ls[w].free <- get()
+		ls[w] = lane{out: make(chan *Batch, 1), free: make(chan *Batch, 2)}
+		ls[w].free <- getBatch()
+		ls[w].free <- getBatch()
 		wg.Add(1)
 		go func(w int, ln lane) {
 			defer wg.Done()
@@ -558,20 +483,15 @@ func walkPipe[B interface{ spillBuf(size int) []byte }](
 				}
 			}()
 			for i := w; i < nchunks; i += lanes {
-				var buf B
+				var b *Batch
 				select {
-				case buf = <-ln.free:
+				case b = <-ln.free:
 				case <-done:
 					return
 				}
-				c := &rc.chunks[i]
-				data := c.data
-				if data == nil {
-					data = rc.spill.read(c, buf.spillBuf(int(c.size)))
-				}
-				decode(buf, data, firstSeqs[i])
+				decodeRecorded(b, rc.chunkData(&rc.chunks[i], b), firstSeqs[i], nil)
 				select {
-				case ln.out <- buf:
+				case ln.out <- b:
 				case <-done:
 					return
 				}
@@ -582,20 +502,20 @@ func walkPipe[B interface{ spillBuf(size int) []byte }](
 	defer func() {
 		close(done)
 		wg.Wait()
-		// Return every buffer still parked in a lane to the pool. A lane
-		// that aborted mid-decode keeps its buffer; the GC reclaims it.
+		// Return every batch still parked in a lane to the pool. A lane
+		// that aborted mid-decode keeps its batch; the GC reclaims it.
 		for _, ln := range ls {
 			for {
 				select {
 				case b := <-ln.free:
-					put(b)
+					putBatch(b)
 					continue
 				default:
 				}
 				select {
 				case b, ok := <-ln.out:
 					if ok {
-						put(b)
+						putBatch(b)
 						continue
 					}
 				default:
@@ -606,191 +526,59 @@ func walkPipe[B interface{ spillBuf(size int) []byte }](
 	}()
 	for i := 0; i < nchunks; i++ {
 		ln := ls[i%lanes]
-		buf, ok := <-ln.out
+		b, ok := <-ln.out
 		if !ok {
 			panic(<-panics)
 		}
-		deliver(buf)
-		ln.free <- buf
+		fn(b)
+		ln.free <- b
 	}
 }
 
-// walkSlabs streams every flushed chunk through fn as a decoded []Record
-// slab, in record order (see walkPipe for the pipelining). fn may mutate
-// the slab — ReplayDirs patches directives in place.
-func (rc *Recorder) walkSlabs(fn func(recs []Record)) {
-	walkPipe(rc, getSlab, putSlab,
-		func(s *recSlab, data []byte, firstSeq int64) {
-			s.n = mustDecodeChunk(s.recs, data, firstSeq)
-		},
-		func(s *recSlab) { fn(s.recs[:s.n]) })
+// walk streams the whole recorded stream through fn as decoded Batches, in
+// record order: every flushed chunk (walkPipe), then the staging tail of
+// an unsealed Recorder as one more batch viewing the stage columns.
+func (rc *Recorder) walk(fn func(*Batch)) {
+	rc.walkPipe(fn)
+	if st := rc.cols; st != nil && st.N > 0 {
+		var tail Batch
+		tail.viewStage(st)
+		fn(&tail)
+	}
 }
 
-// walkBatches streams every flushed chunk through fn as decoded column
-// Batches, in record order (see walkPipe for the pipelining). Each batch is
-// valid only until fn returns; its byte columns alias either the immutable
-// resident chunk or the batch-owned spill scratch, so concurrent replays
-// never share mutable state. On the inline single-core path chunks are
-// delivered as cache-resident sub-batches (see streamBatch); lane-decoded
-// chunks arrive whole, one batch per chunk.
-func (rc *Recorder) walkBatches(fn func(b *Batch)) {
-	if decodeLanes(len(rc.chunks)) == 0 {
-		b := getBatch()
-		defer putBatch(b)
-		rc.walkChunks(func(data []byte, n int, firstSeq int64) {
-			mustStreamBatch(b, data, firstSeq, fn)
-		})
-		return
-	}
-	walkPipe(rc, getBatch, putBatch,
-		func(b *Batch, data []byte, firstSeq int64) {
-			mustDecodeBatch(b, data, firstSeq)
-		},
-		fn)
-}
-
-// batchable returns the consumers as batch kernels when every consumer
-// supports it, nil otherwise (mixed fan-outs take the per-record walk so
-// all consumers observe one decode).
-func batchable(consumers []Consumer) []BatchConsumer {
-	if len(consumers) == 0 {
-		return nil
-	}
-	bcs := make([]BatchConsumer, len(consumers))
-	for i, c := range consumers {
-		bc, ok := c.(BatchConsumer)
-		if !ok {
-			return nil
-		}
-		bcs[i] = bc
-	}
-	return bcs
-}
-
-// Replay feeds the recorded stream to the consumers in order. Consumers
-// implementing BatchConsumer (all of them, or none — mixed sets fall back)
-// receive whole decoded chunks as column batches; otherwise chunks are
-// batch-decoded into scratch slabs (running ahead of the consumer on
-// multi-core machines, see walkPipe) and handed out record by record under
-// the live-run contract: the record is only valid for the duration of the
-// Consume call, and consumers must not modify it.
-func (rc *Recorder) Replay(consumers ...Consumer) {
-	rc.passes.Add(1)
-	rc.drainEncode()
-	staged := rc.tailRecords()
-	if bcs := batchable(consumers); bcs != nil {
-		rc.walkBatches(func(b *Batch) {
-			for _, c := range bcs {
-				c.ConsumeBatch(b)
-			}
-		})
-		for i := range staged {
-			for _, c := range consumers {
-				c.Consume(&staged[i])
-			}
-		}
-		return
-	}
-	if len(consumers) == 1 {
-		// The common fan-out, with the consumer interface loaded once.
-		c := consumers[0]
-		rc.walkSlabs(func(recs []Record) {
-			for i := range recs {
-				c.Consume(&recs[i])
-			}
-		})
-		for i := range staged {
-			c.Consume(&staged[i])
-		}
-		return
-	}
-	rc.walkSlabs(func(recs []Record) {
-		for i := range recs {
-			for _, c := range consumers {
-				c.Consume(&recs[i])
-			}
-		}
-	})
-	for i := range staged {
-		for _, c := range consumers {
-			c.Consume(&staged[i])
-		}
-	}
-}
+// Replay feeds the recorded stream to the consumers in order, in one walk
+// on the calling goroutine (consumers of one call may share state): batch
+// kernels receive each decoded batch, every other consumer the batch's
+// records one at a time under the live-run contract — the record is only
+// valid for the duration of the Consume call, and consumers must not
+// modify it.
+func (rc *Recorder) Replay(consumers ...Consumer) { rc.replay(nil, consumers) }
 
 // ReplayDirs replays the recorded stream with the directive of each record
-// overridden by dirs[Addr] (DirNone for addresses outside dirs). Annotation
-// changes only the directive bits of a program — no code motion — so
-// replaying a plain-program trace under an annotated program's directives is
-// bit-identical to re-executing the annotated program. Each record is
-// patched in the decode scratch; the recorded chunks are never modified,
+// overridden by dirs[Addr] (DirNone for addresses outside dirs, so a nil
+// dirs patches every record to DirNone). Annotation changes only the
+// directive bits of a program — no code motion — so replaying a
+// plain-program trace under an annotated program's directives is
+// bit-identical to re-executing the annotated program. The patch is
+// written to per-call scratch; the recorded chunks are never modified,
 // keeping concurrent replays safe.
 func (rc *Recorder) ReplayDirs(dirs []isa.Directive, consumers ...Consumer) {
-	rc.passes.Add(1)
-	rc.drainEncode()
-	staged := rc.tailRecords()
-	if bcs := batchable(consumers); bcs != nil {
-		rc.walkBatches(func(b *Batch) {
-			// The Dir column is batch-owned decode scratch (rewritten on
-			// the next decode), so the patch writes it in place.
-			patchDirs(b.Dir, b.Addr, dirs)
-			for _, c := range bcs {
-				c.ConsumeBatch(b)
-			}
-		})
-		var rec Record
-		for i := range staged {
-			rec = staged[i]
-			if a := rec.Addr; a >= 0 && a < int64(len(dirs)) {
-				rec.Dir = dirs[a]
-			} else {
-				rec.Dir = isa.DirNone
-			}
-			for _, c := range consumers {
-				c.Consume(&rec)
-			}
-		}
-		return
+	if dirs == nil {
+		dirs = []isa.Directive{} // an empty table, not the plain stream
 	}
-	var single Consumer
-	if len(consumers) == 1 {
-		single = consumers[0]
+	rc.replay(dirs, consumers)
+}
+
+// replay is one Replay/ReplayDirs pass: every consumer is a configuration
+// under the same directive table (nil: the plain recorded stream), all in
+// one lane.
+func (rc *Recorder) replay(dirs []isa.Directive, consumers []Consumer) {
+	cfgs := make([]EvalConfig, len(consumers))
+	for i, c := range consumers {
+		cfgs[i] = EvalConfig{Dirs: dirs, Consumer: c}
 	}
-	patch := func(r *Record) {
-		if a := r.Addr; a >= 0 && a < int64(len(dirs)) {
-			r.Dir = dirs[a]
-		} else {
-			r.Dir = isa.DirNone
-		}
-	}
-	// The directive is patched in the decode slab — scratch owned by this
-	// pass — so the recorded chunks are never modified and concurrent
-	// replays stay safe.
-	rc.walkSlabs(func(recs []Record) {
-		for i := range recs {
-			r := &recs[i]
-			patch(r)
-			if single != nil {
-				single.Consume(r)
-			} else {
-				for _, c := range consumers {
-					c.Consume(r)
-				}
-			}
-		}
-	})
-	var rec Record
-	for i := range staged {
-		rec = staged[i]
-		patch(&rec)
-		if single != nil {
-			single.Consume(&rec)
-		} else {
-			for _, c := range consumers {
-				c.Consume(&rec)
-			}
-		}
-	}
+	rc.evalPass(cfgs, 1)
 }
 
 // DirsOf extracts the per-address directive table of a text segment, the

@@ -244,11 +244,14 @@ func BenchmarkMultiEvalSweep(b *testing.B) {
 		}
 	})
 	b.Run("walkonly-multieval", func(b *testing.B) {
-		var n int64
+		// One counter per configuration: configurations share nothing (the
+		// EvalConfig contract), since MultiEval may run them on parallel lanes.
+		n := make([]int64, len(thresholds))
 		for i := 0; i < b.N; i++ {
 			cfgs := make([]trace.EvalConfig, len(thresholds))
 			for k := range thresholds {
-				cfgs[k] = trace.EvalConfig{Consumer: trace.ConsumerFunc(func(r *trace.Record) { n++ })}
+				c := &n[k]
+				cfgs[k] = trace.EvalConfig{Consumer: trace.ConsumerFunc(func(r *trace.Record) { *c++ })}
 			}
 			rec.MultiEval(cfgs...)
 		}
@@ -305,7 +308,8 @@ func BenchmarkTraceStore(b *testing.B) {
 	}, func() int64 { return int64(len(recs)) * int64(unsafe.Sizeof(trace.Record{})) }))
 	b.Run("walk-columnar", walk(func(c trace.Consumer) { col.Replay(c) }, col.Bytes))
 	// Bytes() is ~0 for a fully spilled store; the honest footprint is the
-	// replay working set (resident chunks + double-buffered readback).
+	// replay working set (resident chunks + one readback buffer per batch
+	// the walk holds).
 	b.Run("walk-spill", walk(func(c trace.Consumer) { spill.Replay(c) }, spill.ReplayResidentBytes))
 
 	b.Run("disk-v2", func(b *testing.B) {
@@ -332,8 +336,8 @@ func BenchmarkTraceStore(b *testing.B) {
 
 // BenchmarkBatchKernels measures the batch column-kernel replay path
 // against per-record replay of the same consumer on the same sealed trace
-// (a plain ConsumerFunc hides the batch entry point, so Replay takes the
-// per-record walk). The
+// (a plain ConsumerFunc hides the batch entry point, so Replay serves it
+// each batch materialized into records). The
 // walkonly pair is the machine-independent headline (a near-free consumer,
 // so the ratio isolates decode + dispatch — the overhead the batch path
 // removes); scripts/bench_smoke.sh gates on it staying ≥ 2x. The profiler
