@@ -241,15 +241,24 @@ func BenchmarkPredictionEngine(b *testing.B) {
 }
 
 // BenchmarkILPMachine measures the per-instruction cost of the dataflow
-// scheduler with value prediction active.
+// scheduler with value prediction active: an FSM engine over the paper's
+// 512-entry stride table, fed live by the VM.
 func BenchmarkILPMachine(b *testing.B) {
 	prog, err := workload.Build("li", workload.EvaluationInput())
 	if err != nil {
 		b.Fatal(err)
 	}
+	pol, err := classify.NewFSMPolicy(classify.DefaultSatCounter)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := ilp.New(ilp.DefaultConfig, nil)
+		table, err := predictor.NewTable(predictor.Stride, predictor.DefaultTableConfig)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := ilp.New(ilp.DefaultConfig, vpsim.NewFSMEngine(table, pol))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -161,3 +161,121 @@ func TestStoreLoadAcrossPagesAndSandboxTop(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchBoundariesDoNotLeak feeds each machine configuration one trace
+// four ways — whole 16384-record chunks (the recorder's chunk size),
+// 2048-record blocks (the inline walk's sub-batches), 7-record blocks and
+// per-record Consume — and requires equal Results. The two-phase kernel
+// runs the engine over a whole batch before scheduling it, so any state
+// that leaked across a batch boundary, or any engine outcome that depended
+// on schedule timing, would split the four.
+func TestBatchBoundariesDoNotLeak(t *testing.T) {
+	for _, bench := range []string{"compress", "m88ksim"} {
+		prog, err := workload.Build(bench, workload.EvaluationInput())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var recs []trace.Record
+		if _, err := workload.Run(prog, trace.ConsumerFunc(func(r *trace.Record) {
+			recs = append(recs, *r)
+		})); err != nil {
+			t.Fatal(err)
+		}
+		// The profile configuration sees a directive-patched stream: a
+		// third of the addresses each get the stride and the last-value
+		// directive, the rest none.
+		patched := append([]trace.Record(nil), recs...)
+		for i := range patched {
+			patched[i].Dir = isa.Directive(patched[i].Addr % 3)
+		}
+
+		configs := []struct {
+			name  string
+			recs  []trace.Record
+			build func() *Machine
+		}{
+			{"fsm", recs, func() *Machine { return mustMachine(t, DefaultConfig, newFSMEngine(t)) }},
+			{"profile", patched, func() *Machine {
+				table, err := predictor.NewTable(predictor.Stride, predictor.DefaultTableConfig)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return mustMachine(t, DefaultConfig, vpsim.NewProfileEngine(table))
+			}},
+			{"width2", recs, func() *Machine {
+				return mustMachine(t, Config{WindowSize: 40, MispredictPenalty: 1, Latency: 1, IssueWidth: 2}, newFSMEngine(t))
+			}},
+			{"bimodal", recs, func() *Machine {
+				m := mustMachine(t, DefaultConfig, newFSMEngine(t))
+				bp, err := branch.New(branch.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := m.UseBranchPredictor(bp, 3); err != nil {
+					t.Fatal(err)
+				}
+				return m
+			}},
+		}
+		for _, c := range configs {
+			all := columnsOf(c.recs)
+			var results []Result
+			for _, block := range []int{1 << 14, 2048, 7} {
+				m := c.build()
+				for lo := 0; lo < all.N; lo += block {
+					m.ConsumeBatch(sliceBatch(all, lo, min(lo+block, all.N)))
+				}
+				results = append(results, m.Result())
+			}
+			m := c.build()
+			for i := range c.recs {
+				m.Consume(&c.recs[i])
+			}
+			results = append(results, m.Result())
+
+			if results[0].Instructions != int64(len(c.recs)) || results[0].Prediction.Candidates == 0 {
+				t.Fatalf("%s/%s: %+v over %d records: nothing predicted", bench, c.name, results[0], len(c.recs))
+			}
+			for k, way := range []string{"2048-record blocks", "7-record blocks", "per-record Consume"} {
+				if results[k+1] != results[0] {
+					t.Errorf("%s/%s: %s %+v, whole chunks %+v", bench, c.name, way, results[k+1], results[0])
+				}
+			}
+		}
+	}
+}
+
+func newFSMEngine(t *testing.T) *vpsim.Engine {
+	t.Helper()
+	table, err := predictor.NewTable(predictor.Stride, predictor.DefaultTableConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol, err := classify.NewFSMPolicy(classify.DefaultSatCounter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vpsim.NewFSMEngine(table, pol)
+}
+
+// columnsOf packs records into one batch in the trace column layout.
+func columnsOf(recs []trace.Record) *trace.Batch {
+	n := len(recs)
+	b := &trace.Batch{N: n,
+		Op: make([]byte, n), Flags: make([]byte, n), Dest: make([]byte, n), Reads: make([]byte, 2*n),
+		Dir: make([]isa.Directive, n), Addr: make([]int64, n), Value: make([]int64, n), MemAddr: make([]int64, n)}
+	for i := range recs {
+		r := &recs[i]
+		b.Op[i], b.Flags[i], b.Dest[i] = byte(r.Op), trace.PackFlags(r), byte(r.Dest)
+		b.Reads[2*i], b.Reads[2*i+1] = trace.PackRead(r.Reads[0]), trace.PackRead(r.Reads[1])
+		b.Dir[i], b.Addr[i], b.Value[i], b.MemAddr[i] = r.Dir, r.Addr, r.Value, r.MemAddr
+	}
+	return b
+}
+
+// sliceBatch views records [lo, hi) of b as a batch of their own.
+func sliceBatch(b *trace.Batch, lo, hi int) *trace.Batch {
+	return &trace.Batch{N: hi - lo,
+		Op: b.Op[lo:hi], Flags: b.Flags[lo:hi], Dest: b.Dest[lo:hi], Reads: b.Reads[2*lo : 2*hi],
+		Dir: b.Dir[lo:hi], Addr: b.Addr[lo:hi], Value: b.Value[lo:hi], MemAddr: b.MemAddr[lo:hi]}
+}

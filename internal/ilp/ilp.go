@@ -60,20 +60,26 @@ func (c Config) Validate() error {
 // Machine is one ILP measurement over a dynamic instruction stream. It
 // implements trace.BatchConsumer; feed it a trace (directly from the
 // functional simulator or from a trace file) and read Result afterwards.
-// Both entry points run the one scheduling routine, step, so the batch and
-// per-record paths cannot drift apart.
+// Both entry points run the one scheduling loop in ConsumeBatch — Consume
+// through a one-record view — so the batch and per-record paths cannot
+// drift apart.
 type Machine struct {
 	cfg Config
 	// engine supplies value predictions; nil measures the no-value-
 	// prediction baseline (the dataflow limit under the finite window).
 	engine *vpsim.Engine
+	// outcomes is the engine's outcome column for the batch being
+	// scheduled; without an engine it stays all OutcomeNotCandidate, which
+	// schedules as "no prediction".
+	outcomes []vpsim.Outcome
 
 	// ready holds the cycle each register's latest value becomes
 	// available, indexed like a packed trace read byte without its valid
 	// bit: integer registers at 0-63, FP registers at 64-127. Entry 0 (the
 	// hard-wired zero register) is never written, so invalid reads, which
-	// index it, are always ready.
-	ready [128]int64
+	// index it, are always ready. Entries from readySink up absorb the
+	// stores of records that write no tracked register.
+	ready [2 * readySink]int64
 	// mem holds the cycle each data-memory word's latest stored value
 	// becomes available; loads are true-data dependent on the last store
 	// to their address (the through-memory edges of the dataflow graph).
@@ -105,6 +111,41 @@ type Machine struct {
 	// how many instructions have issued in it.
 	lastIssue       int64
 	issuedThisCycle int
+
+	// one is the one-record batch view Consume schedules through, over
+	// the columns of oneCols.
+	one     trace.Batch
+	oneCols struct {
+		op, flags, dest  [1]byte
+		reads            [2]byte
+		dir              [1]isa.Directive
+		addr, value, mem [1]int64
+	}
+}
+
+// readySink is the ready entry that destination-less records and the
+// zero register write, so the scheduler stores unconditionally; reads index
+// 0-127 only and never see it.
+const readySink = 128
+
+// issueInOrder applies the in-order front end (IssueWidth > 0) to an
+// instruction that could issue at cycle issue: issue cycles are
+// non-decreasing in program order and at most IssueWidth instructions share
+// one.
+func (m *Machine) issueInOrder(issue int64) int64 {
+	if issue < m.lastIssue {
+		issue = m.lastIssue
+	}
+	if issue == m.lastIssue && m.issuedThisCycle >= m.cfg.IssueWidth {
+		issue++
+	}
+	if issue > m.lastIssue {
+		m.lastIssue = issue
+		m.issuedThisCycle = 1
+	} else {
+		m.issuedThisCycle++
+	}
+	return issue
 }
 
 // isStore and isBranch are the two opcode properties the scheduler reads
@@ -138,118 +179,117 @@ func New(cfg Config, engine *vpsim.Engine) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Machine{
+	m := &Machine{
 		cfg:    cfg,
 		engine: engine,
 		retire: make([]int64, cfg.WindowSize),
-	}, nil
+	}
+	c := &m.oneCols
+	m.one = trace.Batch{N: 1, Op: c.op[:], Flags: c.flags[:], Dest: c.dest[:], Reads: c.reads[:],
+		Dir: c.dir[:], Addr: c.addr[:], Value: c.value[:], MemAddr: c.mem[:]}
+	return m, nil
 }
 
-// Consume implements trace.Consumer: it packs r into the column fields and
-// schedules it.
+// Consume implements trace.Consumer: it packs r into the one-record view
+// and schedules it.
 func (m *Machine) Consume(r *trace.Record) {
-	m.step(byte(r.Op), trace.PackFlags(r), byte(r.Dest), trace.PackRead(r.Reads[0]), trace.PackRead(r.Reads[1]),
-		r.Addr, r.Dir, r.Value, r.MemAddr)
+	c := &m.oneCols
+	c.op[0], c.flags[0], c.dest[0] = byte(r.Op), trace.PackFlags(r), byte(r.Dest)
+	c.reads[0], c.reads[1] = trace.PackRead(r.Reads[0]), trace.PackRead(r.Reads[1])
+	c.dir[0], c.addr[0], c.value[0], c.mem[0] = r.Dir, r.Addr, r.Value, r.MemAddr
+	m.ConsumeBatch(&m.one)
 }
 
-// ConsumeBatch implements trace.BatchConsumer: the scheduler runs straight
-// off the decoded columns, with no Record materialization.
+// ConsumeBatch implements trace.BatchConsumer in two phases. First the
+// engine fills the outcome column for the whole batch; then one loop
+// schedules the batch off the decoded columns, with no Record
+// materialization, keeping the window state and the config scalars in
+// locals that are written back when the batch ends. The split is exact
+// because an engine's outcomes depend only on the (addr, dir, value)
+// stream, never on schedule timing — and so do the branch predictor's,
+// which stays in the loop. The in-order front end and the branch predictor
+// sit behind loop-invariant checks; their state stays in the machine, off
+// the hot registers, since only the extension experiments set them.
 func (m *Machine) ConsumeBatch(b *trace.Batch) {
 	n := b.N
+	if cap(m.outcomes) < n {
+		m.outcomes = make([]vpsim.Outcome, n)
+	}
+	outcomes := m.outcomes[:n]
+	if m.engine != nil {
+		m.engine.ObserveBatch(b, outcomes)
+	}
 	ops, flags, dests, reads := b.Op[:n], b.Flags[:n], b.Dest[:n], b.Reads[:2*n]
-	addrs, dirs, vals, mems := b.Addr[:n], b.Dir[:n], b.Value[:n], b.MemAddr[:n]
+	addrs, mems := b.Addr[:n], b.MemAddr[:n]
+
+	ready, mem, retire := &m.ready, &m.mem, m.retire
+	slot, lastRetire, fetchFloor := m.slot, m.lastRetire, m.fetchFloor
+	latency, penalty := m.cfg.Latency, m.cfg.MispredictPenalty
+	inOrder, bp := m.cfg.IssueWidth > 0, m.branchPred
 	for i, op := range ops {
-		m.step(op, flags[i], dests[i], reads[2*i], reads[2*i+1], addrs[i], dirs[i], vals[i], mems[i])
-	}
-}
+		// Window constraint: entry waits for the retirement of the
+		// instruction WindowSize back. Fetch/dispatch bandwidth is
+		// otherwise unlimited and branches never stall it (perfect
+		// branch prediction).
+		entry := max(retire[slot], fetchFloor)
 
-// step schedules one dynamic instruction given in the trace column layout:
-// f holds the trace.Flag* bits and rd0/rd1 the packed source-operand bytes.
-func (m *Machine) step(op, f, dest, rd0, rd1 byte, addr int64, dir isa.Directive, value, memAddr int64) {
-	// Window constraint: entry waits for the retirement of the
-	// instruction WindowSize back. Fetch/dispatch bandwidth is otherwise
-	// unlimited and branches never stall it (perfect branch prediction).
-	entry := m.retire[m.slot]
-	if entry < m.fetchFloor {
-		entry = m.fetchFloor
-	}
+		// Operand readiness through the register dataflow. Masking with
+		// the sign-extended valid bit sends invalid reads to the
+		// never-written entry 0.
+		rd0, rd1 := reads[2*i], reads[2*i+1]
+		issue := max(entry, ready[rd0&0x7f&-(rd0>>7)], ready[rd1&0x7f&-(rd1>>7)])
+		f := flags[i]
+		hasMem, store := f&trace.FlagHasMem != 0, isStore[op]
+		if hasMem && !store {
+			// Words never stored read 0, which never delays issue.
+			issue = max(issue, mem.get(mems[i]))
+		}
+		if inOrder {
+			issue = m.issueInOrder(issue)
+		}
+		complete := issue + latency
+		if hasMem && store {
+			mem.set(mems[i], complete)
+		}
 
-	// Operand readiness through the register dataflow. Masking with the
-	// sign-extended valid bit sends invalid reads to the never-written
-	// entry 0.
-	issue := entry
-	if ready := m.ready[rd0&0x7f&-(rd0>>7)]; ready > issue {
-		issue = ready
-	}
-	if ready := m.ready[rd1&0x7f&-(rd1>>7)]; ready > issue {
-		issue = ready
-	}
-	hasMem, store := f&trace.FlagHasMem != 0, isStore[op]
-	if hasMem && !store {
-		// Words never stored read 0, which never delays issue.
-		if ready := m.mem.get(memAddr); ready > issue {
-			issue = ready
-		}
-	}
-	// In-order front end: issue cycles are non-decreasing in program
-	// order and at most IssueWidth instructions share one.
-	if m.cfg.IssueWidth > 0 {
-		if issue < m.lastIssue {
-			issue = m.lastIssue
-		}
-		if issue == m.lastIssue && m.issuedThisCycle >= m.cfg.IssueWidth {
-			issue++
-		}
-		if issue > m.lastIssue {
-			m.lastIssue = issue
-			m.issuedThisCycle = 1
-		} else {
-			m.issuedThisCycle++
-		}
-	}
-	complete := issue + m.cfg.Latency
-	if hasMem && store {
-		m.mem.set(memAddr, complete)
-	}
-
-	// Value prediction: a used-correct prediction makes the destination
-	// available to consumers at window entry, collapsing the dependence;
-	// a used-incorrect one delays consumers by the misprediction penalty
-	// beyond normal completion (re-execution of the consumers).
-	if f&trace.FlagHasDest != 0 {
+		// Value prediction: a used-correct prediction makes the
+		// destination available to consumers at window entry, collapsing
+		// the dependence; a used-incorrect one delays consumers by the
+		// misprediction penalty beyond normal completion (re-execution
+		// of the consumers).
 		destReady := complete
-		if m.engine != nil {
-			switch m.engine.Observe(addr, dir, value) {
-			case vpsim.OutcomeUsedCorrect:
-				destReady = entry
-			case vpsim.OutcomeUsedIncorrect:
-				destReady = complete + m.cfg.MispredictPenalty
+		o := outcomes[i]
+		if o == vpsim.OutcomeUsedIncorrect {
+			destReady = complete + penalty
+		}
+		if o == vpsim.OutcomeUsedCorrect {
+			destReady = entry
+		}
+		// FP destinations land at 64+dest. Records without a destination
+		// write past the sink and the integer zero register (index 0)
+		// writes the sink itself, so the store needs no branch.
+		w := int(dests[i]&0x3f) | int(f&trace.FlagDestFP)<<5 | int(^f&trace.FlagHasDest)<<7
+		if w == 0 {
+			w = readySink
+		}
+		ready[w] = destReady
+
+		if bp != nil && isBranch[op] {
+			if correct := bp.Observe(addrs[i], f&trace.FlagTaken != 0); !correct {
+				fetchFloor = max(fetchFloor, complete+m.branchPenalty)
 			}
 		}
-		// FP destinations land at 64+dest; the integer zero register
-		// (index 0) is never tracked.
-		if i := dest&0x3f | (f&trace.FlagDestFP)<<5; i != 0 {
-			m.ready[i] = destReady
+
+		// In-order retirement: an instruction retires no earlier than
+		// its completion and no earlier than its predecessor.
+		lastRetire = max(complete, lastRetire)
+		retire[slot] = lastRetire
+		if slot++; slot == len(retire) {
+			slot = 0
 		}
 	}
-
-	if m.branchPred != nil && isBranch[op] {
-		if correct := m.branchPred.Observe(addr, f&trace.FlagTaken != 0); !correct {
-			if floor := complete + m.branchPenalty; floor > m.fetchFloor {
-				m.fetchFloor = floor
-			}
-		}
-	}
-
-	// In-order retirement: an instruction retires no earlier than its
-	// completion and no earlier than its predecessor.
-	ret := max(complete, m.lastRetire)
-	m.lastRetire = ret
-	m.retire[m.slot] = ret
-	if m.slot++; m.slot == len(m.retire) {
-		m.slot = 0
-	}
-	m.count++
+	m.slot, m.lastRetire, m.fetchFloor = slot, lastRetire, fetchFloor
+	m.count += int64(n)
 }
 
 // memReady is the store-to-load readiness table: a lazily allocated paged

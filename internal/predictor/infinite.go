@@ -49,17 +49,31 @@ func (t *Infinite) Lookup(addr int64) *Entry {
 
 // Allocate implements Store.
 func (t *Infinite) Allocate(addr int64, value isa.Word) *Entry {
-	if uint64(addr) < uint64(len(t.dense)) {
-		e := &t.dense[addr]
-		if !e.valid {
-			*e = Entry{Tag: addr, LastVal: value, valid: true}
-			t.count++
-		}
-		return e
-	}
-	return t.slowAllocate(addr, value)
+	e, _ := t.Access(addr, value)
+	return e
 }
 
+// Access looks addr up and, on a miss, allocates it with value. It returns
+// the entry and whether it was a hit: the prediction engine's one call per
+// value record, equal to Lookup followed, on a miss, by Allocate.
+func (t *Infinite) Access(addr int64, value isa.Word) (*Entry, bool) {
+	if uint64(addr) < uint64(len(t.dense)) {
+		e := &t.dense[addr]
+		if e.valid {
+			return e, true
+		}
+		*e = Entry{Tag: addr, LastVal: value, valid: true}
+		t.count++
+		return e, false
+	}
+	if e, ok := t.sparse[addr]; ok {
+		return e, true
+	}
+	return t.slowAllocate(addr, value), false
+}
+
+// slowAllocate inserts an address outside the dense table: it grows the
+// table when addr is in the dense range, and uses the sparse map otherwise.
 func (t *Infinite) slowAllocate(addr int64, value isa.Word) *Entry {
 	if addr >= 0 && addr < maxDenseEntry {
 		n := int64(1024)
@@ -72,9 +86,6 @@ func (t *Infinite) slowAllocate(addr int64, value isa.Word) *Entry {
 		e := &t.dense[addr]
 		*e = Entry{Tag: addr, LastVal: value, valid: true}
 		t.count++
-		return e
-	}
-	if e, ok := t.sparse[addr]; ok {
 		return e
 	}
 	if t.sparse == nil {

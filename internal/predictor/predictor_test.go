@@ -256,3 +256,69 @@ func TestKindString(t *testing.T) {
 		t.Error("unknown kind should still print")
 	}
 }
+
+// TestHandComputedLRUStream pins the replacement policy step by step on a
+// 1-set 2-way table (every address maps to the one set, the address is the
+// tag): a hit refreshes recency, an allocation of a present address is a
+// hit that leaves the entry unchanged, and a miss into a full set evicts
+// the least recently used way. The same stream on an Infinite table never
+// evicts. Each row lists the entry the operation returns (0 = nil) and the
+// table state after it.
+func TestHandComputedLRUStream(t *testing.T) {
+	type step struct {
+		op        string // "lookup" or "alloc"
+		addr, val int64
+		wantVal   int64 // LastVal of the returned entry; 0 = nil
+		tableLen  int
+		evictions int64
+		infLen    int
+	}
+	steps := []step{
+		{"alloc", 10, 100, 100, 1, 0, 1}, // empty way
+		{"alloc", 20, 200, 200, 2, 0, 2}, // second empty way
+		{"lookup", 10, 0, 100, 2, 0, 2},  // 10 becomes MRU, 20 LRU
+		{"alloc", 30, 300, 300, 2, 1, 3}, // evicts 20
+		{"lookup", 20, 0, 0, 2, 1, 3},    // gone from the table, kept by Infinite
+		{"lookup", 10, 0, 100, 2, 1, 3},  // 10 MRU again, 30 LRU
+		{"alloc", 40, 400, 400, 2, 2, 4}, // evicts 30
+		{"lookup", 30, 0, 0, 2, 2, 4},    // gone
+		{"alloc", 10, 999, 100, 2, 2, 4}, // present: returned unchanged, now MRU
+		{"alloc", 50, 500, 500, 2, 3, 5}, // evicts 40, not 10
+		{"lookup", 40, 0, 0, 2, 3, 5},    // gone
+		{"lookup", 10, 0, 100, 2, 3, 5},  // survived
+		{"lookup", 50, 0, 500, 2, 3, 5},  // the newest
+		{"alloc", 60, 600, 600, 2, 4, 6}, // evicts 10 (50 was touched last)
+		{"lookup", 10, 0, 0, 2, 4, 6},    // gone
+	}
+	tb, err := NewTable(Stride, TableConfig{Entries: 2, Assoc: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf := NewInfinite(Stride)
+	for i, s := range steps {
+		var got, infGot *Entry
+		switch s.op {
+		case "lookup":
+			got, infGot = tb.Lookup(s.addr), inf.Lookup(s.addr)
+		case "alloc":
+			got, infGot = tb.Allocate(s.addr, s.val), inf.Allocate(s.addr, s.val)
+		}
+		gotVal := int64(0)
+		if got != nil {
+			gotVal = got.LastVal
+		}
+		if gotVal != s.wantVal {
+			t.Errorf("step %d %s(%d): table entry LastVal %d, want %d", i, s.op, s.addr, gotVal, s.wantVal)
+		}
+		if tb.Len() != s.tableLen || tb.Evictions != s.evictions {
+			t.Errorf("step %d %s(%d): table Len %d Evictions %d, want %d %d",
+				i, s.op, s.addr, tb.Len(), tb.Evictions, s.tableLen, s.evictions)
+		}
+		if infGot == nil {
+			t.Errorf("step %d %s(%d): Infinite lost the address", i, s.op, s.addr)
+		}
+		if inf.Len() != s.infLen {
+			t.Errorf("step %d %s(%d): Infinite Len %d, want %d", i, s.op, s.addr, inf.Len(), s.infLen)
+		}
+	}
+}

@@ -38,9 +38,13 @@ func (c TableConfig) Sets() int { return c.Entries / c.Assoc }
 // of the instruction address, with the high bits as tag (figure 2.1 of the
 // paper) and LRU replacement within each set.
 type Table struct {
-	kind      Kind
-	cfg       TableConfig
+	kind Kind
+	cfg  TableConfig
+	// setMask, indexBits and assoc are the geometry resolved at
+	// construction, so a lookup splits the address without a division.
+	setMask   int64
 	indexBits uint
+	assoc     int
 	entries   []Entry // sets laid out contiguously: set s occupies [s*assoc, (s+1)*assoc)
 	clock     uint64
 	valid     int
@@ -54,10 +58,13 @@ func NewTable(kind Kind, cfg TableConfig) (*Table, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	sets := cfg.Sets()
 	return &Table{
 		kind:      kind,
 		cfg:       cfg,
-		indexBits: uint(bits.TrailingZeros(uint(cfg.Sets()))),
+		setMask:   int64(sets - 1),
+		indexBits: uint(bits.TrailingZeros(uint(sets))),
+		assoc:     cfg.Assoc,
 		entries:   make([]Entry, cfg.Entries),
 	}, nil
 }
@@ -71,19 +78,17 @@ func (t *Table) Len() int { return t.valid }
 // Config returns the table geometry.
 func (t *Table) Config() TableConfig { return t.cfg }
 
-// setAndTag splits an instruction address into set index and tag.
-func (t *Table) setAndTag(addr int64) (set int, tag int64) {
-	mask := int64(t.cfg.Sets() - 1)
-	return int(addr & mask), addr >> t.indexBits
+// set returns the ways of addr's set and the tag addr carries in it.
+func (t *Table) set(addr int64) (ways []Entry, tag int64) {
+	base := int(addr&t.setMask) * t.assoc
+	return t.entries[base : base+t.assoc], addr >> t.indexBits
 }
 
-// Lookup implements Store.
-func (t *Table) Lookup(addr int64) *Entry {
-	set, tag := t.setAndTag(addr)
-	base := set * t.cfg.Assoc
-	for i := 0; i < t.cfg.Assoc; i++ {
-		e := &t.entries[base+i]
-		if e.valid && e.Tag == tag {
+// hit returns the entry tagged tag among ways, ticking the LRU clock, or
+// nil on a miss (which leaves the clock alone).
+func (t *Table) hit(ways []Entry, tag int64) *Entry {
+	for i := range ways {
+		if e := &ways[i]; e.valid && e.Tag == tag {
 			t.clock++
 			e.lru = t.clock
 			return e
@@ -92,16 +97,29 @@ func (t *Table) Lookup(addr int64) *Entry {
 	return nil
 }
 
+// Lookup implements Store.
+func (t *Table) Lookup(addr int64) *Entry {
+	return t.hit(t.set(addr))
+}
+
 // Allocate implements Store: it victimizes the LRU way of the set.
 func (t *Table) Allocate(addr int64, value isa.Word) *Entry {
-	if e := t.Lookup(addr); e != nil {
-		return e
+	e, _ := t.Access(addr, value)
+	return e
+}
+
+// Access looks addr up and, on a miss, allocates it with value in the LRU
+// way of its set, searching the set once. It returns the entry and whether
+// it was a hit: the prediction engine's one call per value record, equal
+// to Lookup followed, on a miss, by Allocate.
+func (t *Table) Access(addr int64, value isa.Word) (*Entry, bool) {
+	ways, tag := t.set(addr)
+	if e := t.hit(ways, tag); e != nil {
+		return e, true
 	}
-	set, tag := t.setAndTag(addr)
-	base := set * t.cfg.Assoc
-	victim := &t.entries[base]
-	for i := 1; i < t.cfg.Assoc; i++ {
-		e := &t.entries[base+i]
+	victim := &ways[0]
+	for i := 1; i < len(ways); i++ {
+		e := &ways[i]
 		if !e.valid {
 			victim = e
 			break
@@ -120,7 +138,7 @@ func (t *Table) Allocate(addr int64, value isa.Word) *Entry {
 	}
 	t.clock++
 	*victim = Entry{Tag: tag, LastVal: value, valid: true, lru: t.clock}
-	return victim
+	return victim, false
 }
 
 // Reset invalidates every entry, preserving geometry.

@@ -294,4 +294,3 @@ func writeString(w io.Writer, s string) error {
 	_, err := io.WriteString(w, s)
 	return err
 }
-

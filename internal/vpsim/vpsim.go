@@ -86,22 +86,65 @@ func pct(num, den int64) float64 {
 }
 
 // Engine ties a classification policy to one or two prediction tables.
+// Construction resolves everything the policy and the routing decide per
+// directive — which table (if any) serves it, that table's concrete type
+// and prediction function, and the counter automaton — so the per-record
+// path makes no interface or closure call.
 type Engine struct {
-	policy classify.Policy
-	fsm    *classify.FSMPolicy // non-nil when policy is the FSM, for counter init
-	route  func(dir isa.Directive) predictor.Store
-	stats  Stats
+	policy classify.Policy // for PolicyName only
+	// slots routes a directive (capped at dirOther, see dirSlot) to its
+	// table; an empty slot means the instruction is not a candidate.
+	slots [dirOther + 1]slot
+	// fsm selects saturating-counter classification with counter;
+	// otherwise every prediction is used and no counter is kept (profile
+	// classification).
+	fsm     bool
+	counter classify.SatCounter
+	stats   Stats
+	// outcomes is the column ConsumeBatch has filled and then ignores.
+	outcomes []Outcome
+}
+
+// slot is one directive's resolved table: exactly one of tab and inf is
+// set, or neither when the directive is not a candidate.
+type slot struct {
+	tab    *predictor.Table
+	inf    *predictor.Infinite
+	stride bool
+}
+
+// dirOther is the slot every directive value at or past it shares: the
+// routing below never tells invalid directives apart.
+const dirOther = isa.DirLastValue + 1
+
+// dirSlot caps d to a slot index.
+func dirSlot(d isa.Directive) isa.Directive { return min(d, dirOther) }
+
+// resolve binds a store to a slot. A nil store yields the empty slot; a
+// store of a type outside this package's two tables is a programming error.
+func resolve(store predictor.Store) slot {
+	switch t := store.(type) {
+	case nil:
+		return slot{}
+	case *predictor.Table:
+		return slot{tab: t, stride: t.Kind() == predictor.Stride}
+	case *predictor.Infinite:
+		return slot{inf: t, stride: t.Kind() == predictor.Stride}
+	default:
+		panic(fmt.Sprintf("vpsim: unsupported prediction store %T", store))
+	}
 }
 
 // NewFSMEngine builds the hardware-only configuration of [9][10]: a single
 // prediction table whose entries carry saturating counters; every
 // value-producing instruction is admitted.
 func NewFSMEngine(store predictor.Store, policy *classify.FSMPolicy) *Engine {
-	return &Engine{
-		policy: policy,
-		fsm:    policy,
-		route:  func(isa.Directive) predictor.Store { return store },
+	e := &Engine{policy: policy, fsm: true, counter: policy.Counter}
+	s := resolve(store)
+	for d := range e.slots {
+		e.slots[d] = s
 	}
+	return e
 }
 
 // NewProfileEngine builds the paper's proposal with a single shared table:
@@ -109,71 +152,40 @@ func NewFSMEngine(store predictor.Store, policy *classify.FSMPolicy) *Engine {
 // taken. This is the configuration of the Section 5.2 experiments (same
 // 512-entry stride table as the FSM baseline, for a fair comparison).
 func NewProfileEngine(store predictor.Store) *Engine {
-	return &Engine{
-		policy: classify.ProfilePolicy{},
-		route: func(dir isa.Directive) predictor.Store {
-			if dir == isa.DirNone {
-				return nil
-			}
-			return store
-		},
+	e := &Engine{policy: classify.ProfilePolicy{}}
+	s := resolve(store)
+	for d := range e.slots {
+		if isa.Directive(d) != isa.DirNone {
+			e.slots[d] = s
+		}
 	}
+	return e
 }
 
 // NewHybridEngine builds the profile-guided hybrid configuration of Sections
 // 3.1 and 6: stride-tagged instructions go to the stride table, last-value-
 // tagged instructions to the last-value table, untagged ones nowhere.
 func NewHybridEngine(h *predictor.Hybrid) *Engine {
-	return &Engine{
-		policy: classify.ProfilePolicy{},
-		route:  h.TableFor,
+	e := &Engine{policy: classify.ProfilePolicy{}}
+	for d := range e.slots {
+		e.slots[d] = resolve(h.TableFor(isa.Directive(d)))
 	}
+	return e
 }
 
 // Stats returns the accumulated statistics.
 func (e *Engine) Stats() Stats { return e.stats }
 
+// valueFlag is the one-record flags column Observe hands the kernel.
+var valueFlag = [1]byte{trace.FlagHasDest}
+
 // Observe processes one dynamic value-producing instruction and returns its
-// outcome. The ILP machine calls this directly; trace-driven runs go through
-// Consume.
+// outcome, through the column kernel on a one-record view.
 func (e *Engine) Observe(addr int64, dir isa.Directive, value isa.Word) Outcome {
-	e.stats.ValueInstructions++
-	if !e.policy.Candidate(dir) {
-		return OutcomeNotCandidate
-	}
-	store := e.route(dir)
-	if store == nil {
-		return OutcomeNotCandidate
-	}
-	e.stats.Candidates++
-	entry := store.Lookup(addr)
-	if entry == nil {
-		entry = store.Allocate(addr, value)
-		if e.fsm != nil {
-			entry.Counter = e.fsm.InitCounter()
-		}
-		e.stats.Misses++
-		return OutcomeMiss
-	}
-	pred, _ := entry.Predict(store.Kind())
-	correct := pred == value
-	used := e.policy.Use(entry)
-	e.policy.Train(entry, correct)
-	entry.Train(value)
-	switch {
-	case used && correct:
-		e.stats.UsedCorrect++
-		return OutcomeUsedCorrect
-	case used && !correct:
-		e.stats.UsedIncorrect++
-		return OutcomeUsedIncorrect
-	case !used && correct:
-		e.stats.UnusedCorrect++
-		return OutcomeUnusedCorrect
-	default:
-		e.stats.UnusedIncorrect++
-		return OutcomeUnusedIncorrect
-	}
+	addrs, dirs, vals := [1]int64{addr}, [1]isa.Directive{dir}, [1]int64{value}
+	var out [1]Outcome
+	e.observe(valueFlag[:], addrs[:], dirs[:], vals[:], out[:])
+	return out[0]
 }
 
 // Consume implements trace.Consumer.
@@ -184,18 +196,90 @@ func (e *Engine) Consume(r *trace.Record) {
 	e.Observe(r.Addr, r.Dir, r.Value)
 }
 
-// ConsumeBatch implements trace.BatchConsumer: a tight loop over the
-// flags/addr/dir/value columns feeding Observe, with no Record
-// materialization or interface dispatch per record. The Dir column carries
-// any directive patch the replay applied, so FSM and profile policies both
-// see exactly the scalar stream.
+// ConsumeBatch implements trace.BatchConsumer: ObserveBatch into an
+// engine-owned column whose outcomes only feed the statistics.
 func (e *Engine) ConsumeBatch(b *trace.Batch) {
-	flags, addrs, dirs, vals := b.Flags, b.Addr, b.Dir, b.Value
+	if cap(e.outcomes) < b.N {
+		e.outcomes = make([]Outcome, b.N)
+	}
+	e.ObserveBatch(b, e.outcomes[:b.N])
+}
+
+// ObserveBatch is the engine's column entry point: it runs every value
+// record of b (those with trace.FlagHasDest) through the engine in stream
+// order and writes record i's outcome to out[i], which must hold b.N
+// entries. Records without a destination get OutcomeNotCandidate and are
+// not counted. The Dir column carries any directive patch the replay
+// applied, so FSM and profile policies both see exactly the scalar stream.
+func (e *Engine) ObserveBatch(b *trace.Batch, out []Outcome) {
+	n := b.N
+	e.observe(b.Flags[:n], b.Addr[:n], b.Dir[:n], b.Value[:n], out[:n])
+}
+
+// observe is the engine: for each value record, route by directive,
+// look the address up (allocating on a miss), predict, compare, decide
+// use, train, and count the outcome.
+func (e *Engine) observe(flags []byte, addrs []int64, dirs []isa.Directive, vals []int64, out []Outcome) {
+	out, addrs, dirs, vals = out[:len(flags)], addrs[:len(flags)], dirs[:len(flags)], vals[:len(flags)]
+	fsm, ctr := e.fsm, e.counter
+	st := &e.stats
 	for i, f := range flags {
 		if f&trace.FlagHasDest == 0 {
+			out[i] = OutcomeNotCandidate
 			continue
 		}
-		e.Observe(addrs[i], dirs[i], vals[i])
+		st.ValueInstructions++
+		addr, value := addrs[i], vals[i]
+		s := &e.slots[dirSlot(dirs[i])]
+		var ent *predictor.Entry
+		var hit bool
+		switch {
+		case s.tab != nil:
+			ent, hit = s.tab.Access(addr, value)
+		case s.inf != nil:
+			ent, hit = s.inf.Access(addr, value)
+		default:
+			out[i] = OutcomeNotCandidate
+			continue
+		}
+		st.Candidates++
+		if !hit {
+			if fsm {
+				ent.Counter = ctr.Initial
+			}
+			st.Misses++
+			out[i] = OutcomeMiss
+			continue
+		}
+		pred := ent.LastVal
+		if s.stride {
+			pred += ent.StrideVal
+		}
+		correct := pred == value
+		used := true
+		if fsm {
+			used = ctr.Trust(ent.Counter)
+			if correct {
+				ent.Counter = ctr.OnCorrect(ent.Counter)
+			} else {
+				ent.Counter = ctr.OnIncorrect(ent.Counter)
+			}
+		}
+		ent.Train(value)
+		switch {
+		case used && correct:
+			st.UsedCorrect++
+			out[i] = OutcomeUsedCorrect
+		case used:
+			st.UsedIncorrect++
+			out[i] = OutcomeUsedIncorrect
+		case correct:
+			st.UnusedCorrect++
+			out[i] = OutcomeUnusedCorrect
+		default:
+			st.UnusedIncorrect++
+			out[i] = OutcomeUnusedIncorrect
+		}
 	}
 }
 

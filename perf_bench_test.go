@@ -9,7 +9,9 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/classify"
 	"repro/internal/experiments"
+	"repro/internal/ilp"
 	"repro/internal/isa"
 	"repro/internal/parallel"
 	"repro/internal/predictor"
@@ -340,9 +342,10 @@ func BenchmarkTraceStore(b *testing.B) {
 // each batch materialized into records). The
 // walkonly pair is the machine-independent headline (a near-free consumer,
 // so the ratio isolates decode + dispatch — the overhead the batch path
-// removes); scripts/bench_smoke.sh gates on it staying ≥ 2x. The profiler
-// and engine pairs show how much of the win survives under real
-// consumer work. All legs report ns/rec.
+// removes); scripts/bench_smoke.sh gates on it staying ≥ 2x. The profiler,
+// engine and ilp (the Section 5.3 machine fed by an FSM engine) pairs show
+// how much of the win survives under real consumer work. All legs report
+// ns/rec.
 func BenchmarkBatchKernels(b *testing.B) {
 	prog, err := workload.Build("compress", workload.EvaluationInput())
 	if err != nil {
@@ -403,6 +406,27 @@ func BenchmarkBatchKernels(b *testing.B) {
 				b.Fatal(err)
 			}
 			rec.Replay(deliver(vpsim.NewProfileEngine(table)))
+			total += rec.Len()
+		}
+		b.StopTimer()
+		reportNsPerRec(b, total)
+	})
+	pair("ilp", func(b *testing.B, deliver func(trace.BatchConsumer) trace.Consumer) {
+		pol, err := classify.NewFSMPolicy(classify.DefaultSatCounter)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var total int64
+		for i := 0; i < b.N; i++ {
+			table, err := predictor.NewTable(predictor.Stride, predictor.DefaultTableConfig)
+			if err != nil {
+				b.Fatal(err)
+			}
+			m, err := ilp.New(ilp.DefaultConfig, vpsim.NewFSMEngine(table, pol))
+			if err != nil {
+				b.Fatal(err)
+			}
+			rec.Replay(deliver(m))
 			total += rec.Len()
 		}
 		b.StopTimer()

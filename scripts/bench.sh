@@ -111,7 +111,7 @@ emit_batch_kernels() {
     }
 }
 END {
-    n = split("walkonly profiler engine", pairs, " ")
+    n = split("walkonly profiler engine ilp", pairs, " ")
     first = 1
     for (p = 1; p <= n; p++) {
         s = nsrec[pairs[p] "-scalar"]
