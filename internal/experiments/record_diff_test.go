@@ -12,14 +12,18 @@ import (
 	"repro/internal/workload"
 )
 
-// This file pins the record path: the fused execute+encode column loop must
-// write the trace the VM's per-record step loop writes, and one benchmark's
-// trace file must keep the exact bytes of the committed golden hash.
+// This file pins the record path: the VM appending straight into a Writer's
+// column stage must write the trace that per-record delivery (records
+// materialized by a ColumnSink and fed through Writer.Consume) writes, and
+// one benchmark's trace file must keep the exact bytes of the committed
+// golden hash.
 
 // recordFile runs bench's evaluation input once with a trace-file Writer as
 // the consumer — the vprun -trace shape — and returns the file bytes. A
-// Writer attached directly takes the fused column loop; perRecord wraps it
-// in a plain ConsumerFunc, which keeps the VM on its per-record step loop.
+// Writer attached directly is appended into by the VM's dispatch loop;
+// perRecord wraps it in a plain ConsumerFunc, which hides its stage, so the
+// loop stages into a ColumnSink that delivers materialized records through
+// Consume.
 func recordFile(t *testing.T, bench string, perRecord bool) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -52,7 +56,7 @@ func TestFusedTraceFilesMatchScalarRecord(t *testing.T) {
 		fused := recordFile(t, bench, false)
 		perRecord := recordFile(t, bench, true)
 		if !bytes.Equal(fused, perRecord) {
-			t.Errorf("%s: fused trace file differs from the per-record loop's (%d vs %d bytes)",
+			t.Errorf("%s: fused trace file differs from per-record delivery's (%d vs %d bytes)",
 				bench, len(fused), len(perRecord))
 		}
 	}
@@ -73,9 +77,9 @@ func TestEvalTraceFileGolden(t *testing.T) {
 }
 
 // TestFusedCollectorMatchesScalar checks the live-run ColumnSink adaptation:
-// a profiler collector fed by the fused VM loop (batches staged in columns)
-// must end up in exactly the state per-record delivery through the step
-// loop produces — the profile phase's correctness gate for fused recording.
+// a profiler collector fed whole staged batches must end up in exactly the
+// state per-record delivery of the same run's materialized records produces
+// — the profile phase's correctness gate for its batch kernel.
 func TestFusedCollectorMatchesScalar(t *testing.T) {
 	const bench = "compress"
 	in := workload.TrainingInputs(1)[0]

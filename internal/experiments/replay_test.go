@@ -224,14 +224,15 @@ const oracleSteps = 6<<14 + 777
 // TestReplayBitIdenticalToReexecution is the kernel-level oracle. For every
 // benchmark it runs each program variant (plain, and annotated at every
 // threshold) live with every scheme's consumer attached through a plain
-// trace.ConsumerFunc — the VM's per-record step loop feeding each kernel's
-// per-record Consume. It then records the plain program through the fused
-// VM loop under each GOMAXPROCS and memory budget and requires every replay
-// shape to reproduce the live results exactly: Replay for plain-program
-// schemes and ReplayDirs for annotated ones (batch kernels over the
-// batches, scalar-only consumers over their materialized records), and one
-// MultiEval pass over every scheme. One comparison thereby covers fused
-// against per-record recording, batch kernels against their per-record
+// trace.ConsumerFunc — each live chunk materialized into records and fed
+// to each kernel's per-record Consume. It then records the plain program
+// into a Recorder's stage under each GOMAXPROCS and memory budget and
+// requires every replay shape to reproduce the live results exactly:
+// Replay for plain-program schemes and ReplayDirs for annotated ones (batch
+// kernels over the batches, scalar-only consumers over their materialized
+// records), and one MultiEval pass over every scheme. One comparison
+// thereby covers fused against per-record recording, batch kernels against
+// their per-record
 // Consume, the encoder and decoder, spill readback, decode-ahead and
 // MultiEval lanes. The thresholds are diffContext's two-point sweep, and
 // every run stops after oracleSteps instructions.

@@ -75,11 +75,12 @@ type Batch struct {
 }
 
 // BatchConsumer is a Consumer that can additionally accept whole decoded
-// chunks. Replay, ReplayDirs and MultiEval feed it batches only (the
-// staging tail of an unsealed Recorder included); the embedded scalar
-// Consume serves live per-record producers — the VM's step loop feeding
-// the consumer directly — so a batch kernel must keep both entry points
-// consistent. The re-execution tests enforce that bit-for-bit.
+// chunks. Replay, ReplayDirs, MultiEval and live VM runs (through a
+// ColumnSink) feed it batches only (the staging tail of an unsealed
+// Recorder included); the embedded scalar Consume serves callers that hand
+// it records one at a time — a plain ConsumerFunc wrapping it, or another
+// consumer forwarding records — so a batch kernel must keep both entry
+// points consistent. The re-execution tests enforce that bit-for-bit.
 type BatchConsumer interface {
 	Consumer
 	// ConsumeBatch is called once per batch, in stream order. The

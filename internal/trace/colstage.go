@@ -14,9 +14,9 @@ import (
 // byte/int64 stores, no Record, no interface call), and the
 // zigzag-delta/varint compression runs once per chunk at seal time through
 // the speculative uniform-width encoders of codec.go. Records that still
-// arrive one at a time (Consume on a fan-out) are destructured into the
-// same columns by appendRecord, so there is one staging representation and
-// one encoder.
+// arrive one at a time (Consume, e.g. a ColumnSink's fan-out into a
+// Recorder) are destructured into the same columns by appendRecord, so
+// there is one staging representation and one encoder.
 
 // RecordColumns is one chunk of staged records as parallel columns: element
 // i of every column carries the field Record i would. The byte columns use
@@ -24,7 +24,7 @@ import (
 // bits), so sealing a stage is a memcpy for the fixed columns and a
 // delta/varint pass for the integer columns.
 type RecordColumns struct {
-	// N is the number of staged records. A fused producer appends by
+	// N is the number of staged records. A column producer appends by
 	// writing element N of every column and incrementing N; it must flush
 	// (and restage) once N reaches Cap.
 	N int
@@ -87,7 +87,8 @@ func PackFlags(r *Record) byte {
 }
 
 // appendRecord destructures r into the columns — the per-record producer's
-// entry into column staging, packing exactly what the fused VM loop writes.
+// entry into column staging, packing exactly what the VM dispatch loop
+// writes.
 func (st *RecordColumns) appendRecord(r *Record) {
 	i := st.N
 	st.Op[i] = byte(r.Op)
@@ -151,52 +152,63 @@ func getCols() *RecordColumns {
 
 func putCols(st *RecordColumns) { colsPool.Put(st) }
 
-// ColumnAppender is a Consumer that additionally accepts fused column
-// appends. The VM dispatch loop detects it once at run start: when
-// ColumnStage returns a non-nil stage the VM bypasses Consume entirely and
-// writes destructured record fields straight into the stage's columns,
+// ColumnAppender is a Consumer that additionally accepts column appends.
+// The VM dispatch loop detects a lone attached ColumnAppender at run start:
+// when ColumnStage returns a non-nil stage the VM bypasses Consume entirely
+// and writes destructured record fields straight into the stage's columns,
 // calling FlushColumns each time the stage fills and FlushTail once when the
-// run ends (halt or error). A nil ColumnStage (a sealed recorder) keeps the
-// run on the per-record Consume path. Both paths must be observably
-// identical — the re-execution tests compare them against the VM's
-// per-record loop.
+// run ends (halt or error). A nil ColumnStage (a sealed recorder), or any
+// other consumer set, is served through a ColumnSink instead, which hands
+// the consumer the same records through Consume at each chunk flush. Both
+// routes must be observably identical — the re-execution tests compare
+// them.
 type ColumnAppender interface {
 	Consumer
-	// ColumnStage returns the live staging columns, or nil when fused
-	// recording is unavailable.
+	// ColumnStage returns the live staging columns, or nil when column
+	// appends are unavailable.
 	ColumnStage() *RecordColumns
 	// FlushColumns seals the filled stage and returns the (empty) stage to
 	// continue appending into.
 	FlushColumns() *RecordColumns
 	// FlushTail settles a partially filled stage at end of run. Buffering
 	// appenders (the Recorder) may keep the tail staged; delivering
-	// appenders (ColumnSink) must hand it to their consumer.
+	// appenders (ColumnSink) must hand it to their consumers.
 	FlushTail()
 }
 
-// ColumnSink adapts a BatchConsumer into a ColumnAppender: the VM's fused
-// loop stages columns and the sink delivers each filled stage to the
-// consumer as a Batch — so a live recording run feeds column kernels (the
-// profiler's training pass, prediction engines) at chunk granularity with no
-// per-record dispatch, mirroring what replay already does for sealed traces.
-// Batches are delivered in stream order, valid only for the duration of the
-// ConsumeBatch call, exactly the replay contract.
+// ColumnSink adapts any set of consumers into one ColumnAppender: the VM's
+// dispatch loop stages columns and the sink delivers each filled stage to
+// every consumer in order, through the same fan-out a single-lane replay
+// pass uses (evalLane). Batch kernels (the profiler's training pass,
+// prediction engines, ILP machines) receive the stage as a Batch; per-record
+// consumers receive it materialized once into Records. So a live run feeds
+// its consumers at chunk granularity, exactly the replay contract: batches
+// and records are delivered in stream order and are valid only for the
+// duration of the ConsumeBatch or Consume call.
 type ColumnSink struct {
-	c     BatchConsumer
+	lane  evalLane
+	recs  recordView
 	st    *RecordColumns
 	batch Batch
 	n     int64
 }
 
-// NewColumnSink returns a sink feeding c. Call Close when done to return the
-// pooled stage.
-func NewColumnSink(c BatchConsumer) *ColumnSink {
-	return &ColumnSink{c: c, st: getCols()}
+// NewColumnSink returns a sink feeding cs in order; with no consumers the
+// staged records are discarded. Call Close when done to deliver the tail
+// and return the pooled stage.
+func NewColumnSink(cs ...Consumer) *ColumnSink {
+	s := &ColumnSink{st: getCols()}
+	s.lane.cfgs = make([]EvalConfig, len(cs))
+	for i, c := range cs {
+		s.lane.cfgs[i].Consumer = c
+	}
+	s.recs = newRecordView(s.lane.cfgs)
+	return s
 }
 
 // Consume implements the per-record path: records delivered one at a time
-// still flow through the same staging columns, so per-record and fused
-// producers feed the consumer identical batches.
+// still flow through the same staging columns, so per-record and column
+// producers feed the consumers identical batches.
 func (s *ColumnSink) Consume(r *Record) {
 	s.st.appendRecord(r)
 	if s.st.N == s.st.Cap() {
@@ -207,14 +219,14 @@ func (s *ColumnSink) Consume(r *Record) {
 // ColumnStage implements ColumnAppender.
 func (s *ColumnSink) ColumnStage() *RecordColumns { return s.st }
 
-// FlushColumns delivers the staged columns to the consumer as one Batch.
+// FlushColumns delivers the staged columns to the consumers as one Batch.
 func (s *ColumnSink) FlushColumns() *RecordColumns {
 	st := s.st
 	if st.N == 0 {
 		return st
 	}
 	s.batch.viewStage(st)
-	s.c.ConsumeBatch(&s.batch)
+	s.lane.eval(&s.batch, s.recs.fill(&s.batch))
 	s.n += int64(st.N)
 	st.N = 0
 	st.FirstSeq = s.n

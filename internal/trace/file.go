@@ -90,8 +90,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // record is the first record of the failing frame.
 //
 // A Writer stages the frame being filled as columns, not records: it
-// implements ColumnAppender (the VM's fused loop writes destructured fields
-// straight into the frame stage) and BatchConsumer (replaying a sealed
+// implements ColumnAppender (the VM's dispatch loop writes destructured
+// fields straight into the frame stage) and BatchConsumer (replaying a sealed
 // Recorder to a file copies decoded columns frame by frame), and the
 // per-record Consume path destructures into the same stage — all three
 // producers reach the seal-time column encoder and produce byte-identical
@@ -182,7 +182,7 @@ func (tw *Writer) ConsumeBatch(b *Batch) {
 	}
 }
 
-// ColumnStage implements ColumnAppender: the VM's fused loop may write
+// ColumnStage implements ColumnAppender: the VM's dispatch loop may write
 // destructured record fields straight into the frame stage.
 func (tw *Writer) ColumnStage() *RecordColumns { return tw.cols }
 
@@ -197,7 +197,7 @@ func (tw *Writer) FlushColumns() *RecordColumns {
 func (tw *Writer) FlushTail() {}
 
 // flushFrame encodes and writes the staged columns as one VPTRC02 frame.
-// Records are counted as accepted here, at frame granularity, because fused
+// Records are counted as accepted here, at frame granularity, because column
 // producers bypass Consume and write the stage directly.
 func (tw *Writer) flushFrame() {
 	st := tw.cols

@@ -80,27 +80,14 @@ func (rc *Recorder) evalPass(cfgs []EvalConfig, maxLanes int) {
 	for k := range lanes {
 		lanes[k] = &evalLane{}
 	}
-	perRecord := false
 	for i, cfg := range cfgs {
 		l := lanes[i%len(lanes)]
 		l.cfgs = append(l.cfgs, cfg)
-		if _, ok := cfg.Consumer.(BatchConsumer); !ok {
-			perRecord = true
-		}
 	}
-	var recs []Record // the current batch materialized, when perRecord
-	fillRecs := func(b *Batch) {
-		if perRecord {
-			if cap(recs) < b.N {
-				recs = make([]Record, b.N)
-			}
-			recs = b.Records(recs)
-		}
-	}
+	view := newRecordView(cfgs)
 	if len(lanes) == 1 {
 		rc.walk(func(b *Batch) {
-			fillRecs(b)
-			lanes[0].eval(b, recs)
+			lanes[0].eval(b, view.fill(b))
 		})
 		return
 	}
@@ -113,9 +100,9 @@ func (rc *Recorder) evalPass(cfgs []EvalConfig, maxLanes int) {
 		go func(l *evalLane) {
 			defer wg.Done()
 			for b := range l.in {
-				// recs was written before b was sent and is rewritten
-				// only after done is received.
-				l.failure = l.tryEval(b, recs)
+				// view.recs was written before b was sent and is
+				// rewritten only after done is received.
+				l.failure = l.tryEval(b, view.recs)
 				l.done <- struct{}{}
 			}
 		}(l)
@@ -127,7 +114,7 @@ func (rc *Recorder) evalPass(cfgs []EvalConfig, maxLanes int) {
 		wg.Wait()
 	}()
 	rc.walk(func(b *Batch) {
-		fillRecs(b)
+		recs := view.fill(b)
 		for _, l := range others {
 			l.in <- b
 		}
@@ -143,6 +130,34 @@ func (rc *Recorder) evalPass(cfgs []EvalConfig, maxLanes int) {
 			}
 		}
 	})
+}
+
+// recordView materializes each batch of a pass once into Records when some
+// configuration is a per-record consumer; every lane reads the same
+// records. When all configurations are batch kernels it stays empty.
+type recordView struct {
+	perRecord bool
+	recs      []Record
+}
+
+func newRecordView(cfgs []EvalConfig) recordView {
+	for _, cfg := range cfgs {
+		if _, ok := cfg.Consumer.(BatchConsumer); !ok {
+			return recordView{perRecord: true}
+		}
+	}
+	return recordView{}
+}
+
+// fill materializes b, when needed, and returns the records to deliver.
+func (v *recordView) fill(b *Batch) []Record {
+	if v.perRecord {
+		if cap(v.recs) < b.N {
+			v.recs = make([]Record, b.N)
+		}
+		v.recs = b.Records(v.recs)
+	}
+	return v.recs
 }
 
 // evalLane is one lane's share of a replay pass and its private scratch.

@@ -234,8 +234,8 @@ func (rc *Recorder) Close() error {
 
 // Consume implements Consumer by appending a copy of r: the record is
 // destructured straight into the staging columns, so per-record producers
-// (fan-outs through the VM's step loop) and the fused VM loop share one
-// representation.
+// (a ColumnSink serving a fan-out, a replay into this recorder) and the VM
+// appending directly share one representation.
 func (rc *Recorder) Consume(r *Record) {
 	if rc.sealed {
 		panic("trace: Consume on a sealed Recorder (recording after publication)")
@@ -261,8 +261,9 @@ func (rc *Recorder) newStage() *RecordColumns {
 
 // ColumnStage implements ColumnAppender: it returns the live staging
 // columns for fused recording, or nil once the recorder is sealed (sending
-// the producer down the per-record path, whose Consume panics). The producer appends by writing element N of every column and
-// incrementing N, calling FlushColumns when N reaches Cap.
+// the producer down the per-record path, whose Consume panics). The
+// producer appends by writing element N of every column and incrementing
+// N, calling FlushColumns when N reaches Cap.
 func (rc *Recorder) ColumnStage() *RecordColumns {
 	if rc.sealed {
 		return nil

@@ -54,6 +54,13 @@ type RegRead struct {
 }
 
 // Consumer receives the dynamic instruction stream in program order.
+//
+// Delivery is chunked, not interleaved with execution: a live VM run stages
+// records into a column chunk and hands them to its consumers when the chunk
+// fills (every 16,384 records) and when the run ends, halt or error, and a
+// replay delivers one decoded chunk at a time. A consumer therefore must not
+// expect the producing machine's state to correspond to the record it is
+// given.
 type Consumer interface {
 	// Consume is called once per retired instruction. The record is only
 	// valid for the duration of the call — producers reuse the backing
@@ -67,16 +74,6 @@ type ConsumerFunc func(r *Record)
 
 // Consume calls f(r).
 func (f ConsumerFunc) Consume(r *Record) { f(r) }
-
-// Tee fans a stream out to several consumers in order.
-type Tee []Consumer
-
-// Consume forwards r to every consumer in the tee.
-func (t Tee) Consume(r *Record) {
-	for _, c := range t {
-		c.Consume(r)
-	}
-}
 
 // Counter counts records and value-producing records; a trivial consumer
 // used by tools and tests.

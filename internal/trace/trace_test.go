@@ -271,21 +271,6 @@ func TestReaderV2RejectsCorruptFrame(t *testing.T) {
 	}
 }
 
-func TestTeeFansOut(t *testing.T) {
-	var a, b Counter
-	tee := Tee{&a, &b}
-	recs := sampleRecords()
-	for i := range recs {
-		tee.Consume(&recs[i])
-	}
-	if a.Records != int64(len(recs)) || b.Records != a.Records {
-		t.Errorf("tee counts: %d, %d", a.Records, b.Records)
-	}
-	if a.ValueProds != 3 {
-		t.Errorf("value producers = %d, want 3", a.ValueProds)
-	}
-}
-
 func TestConsumerFunc(t *testing.T) {
 	n := 0
 	c := ConsumerFunc(func(*Record) { n++ })

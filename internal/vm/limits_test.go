@@ -211,12 +211,17 @@ func TestStepFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var cnt trace.Counter
+	m.Attach(&cnt)
 	runErr := m.Run()
 	if !errors.Is(runErr, faults.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", runErr)
 	}
 	if got := m.InstructionsRetired(); got != 4 {
 		t.Fatalf("retired %d instructions before the 5th-step fault, want 4", got)
+	}
+	if cnt.Records != 4 {
+		t.Fatalf("consumer received %d records, want the 4 retired", cnt.Records)
 	}
 	// Disarmed, the same program runs clean.
 	faults.Disable()

@@ -4,36 +4,36 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/faults"
 	"repro/internal/isa"
 	"repro/internal/trace"
 )
 
-// The fused execute+encode dispatch loop. The reference path (vm.go)
-// materializes a trace.Record per retired instruction and pays an interface
-// dispatch into Consume; at tens of millions of instructions per second that
-// is most of the recording tax BenchmarkVMStepsRecording measures. This loop
-// instead writes the destructured record fields straight into the consumer's
-// SoA staging columns — about ten plain stores per instruction, with the
-// packed operand-read and directive bytes precomputed per static instruction
-// at predecode — and hoists the budget/fuel/trace-limit checks out of the
-// per-step path to column-flush granularity: the inner loop runs to a
-// precomputed stop bound (the nearest of the limits and the stage capacity),
-// so each step checks nothing but the PC bound and the halt flag. Limit
-// errors still fire at exactly the step the reference loop would fail, with
-// the same message. stepFused must stay semantically identical to step; the
-// re-execution tests replay fused recordings against the same consumers fed
-// live through step (a plain ConsumerFunc forces that loop), and a golden
-// hash pins one benchmark's recorded trace file byte for byte.
+// The dispatch loop. Each retired instruction's record is written as
+// destructured fields straight into the SoA staging columns of a trace
+// chunk — about ten plain stores, with the packed operand-read and
+// directive bytes precomputed per static instruction at predecode — and the
+// budget/fuel/trace-limit checks are hoisted out of the per-step path to
+// chunk-flush granularity: the inner loop runs to a precomputed stop bound
+// (the nearest of the limits and the stage capacity), so each step checks
+// nothing but the PC bound and the halt flag. Limit errors still fire at
+// exactly the instruction that exceeds the limit. An armed fault plan caps
+// the bound at one instruction so the vm.step point is evaluated before
+// every instruction; with no plan armed the inner loop carries no hook.
 
-// runFused executes until HALT or a limit, appending one column row per
-// retired instruction. The caller flushes the partial tail.
-func (m *Machine) runFused(ca trace.ColumnAppender, st *trace.RecordColumns, budget, fuel, events int64) error {
+// run executes until HALT or a limit, appending one column row per retired
+// instruction and calling ca.FlushColumns whenever the stage fills. The
+// caller flushes the partial tail.
+func (m *Machine) run(ca trace.ColumnAppender, st *trace.RecordColumns, events int64) error {
+	budget := m.cfg.MaxInstructions
+	fuel := m.cfg.Limits.MaxSteps
+	inject := faults.Active()
 	for {
 		if st.N == st.Cap() {
 			st = ca.FlushColumns()
 		}
 		// The nearest point where a check must re-fire: a limit, or the
-		// stage filling. Checks are ordered as in the reference loop.
+		// stage filling.
 		stop := budget
 		if fuel > 0 && fuel < stop {
 			stop = fuel
@@ -44,11 +44,17 @@ func (m *Machine) runFused(ca trace.ColumnAppender, st *trace.RecordColumns, bud
 		if room := m.seq + int64(st.Cap()-st.N); room < stop {
 			stop = room
 		}
+		if inject && m.seq < stop {
+			if err := faults.Inject(PointStep); err != nil {
+				return fmt.Errorf("vm: step %d: %w", m.seq, err)
+			}
+			stop = m.seq + 1
+		}
 		for m.seq < stop {
 			if uint64(m.pc) >= uint64(len(m.dec)) {
 				return fmt.Errorf("%w: pc=%d text=[0,%d)", ErrPCFault, m.pc, len(m.dec))
 			}
-			if err := m.stepFused(&m.dec[m.pc], st); err != nil {
+			if err := m.step(&m.dec[m.pc], st); err != nil {
 				return err
 			}
 			if m.halted {
@@ -67,16 +73,18 @@ func (m *Machine) runFused(ca trace.ColumnAppender, st *trace.RecordColumns, bud
 	}
 }
 
-// stepFused executes one pre-decoded instruction and appends its record
-// fields to the staging columns: the column twin of step. The caller has
-// bounds-checked the PC and guaranteed stage room.
-func (m *Machine) stepFused(ins *decoded, st *trace.RecordColumns) error {
+// step executes one pre-decoded instruction and appends its record fields
+// to the staging columns. The caller has bounds-checked the PC and
+// guaranteed stage room.
+func (m *Machine) step(ins *decoded, st *trace.RecordColumns) error {
 	nextPC := m.pc + 1
 	rs1 := m.regs[ins.rs1]
 	rs2 := m.regs[ins.rs2]
 
-	// The record row under construction; flags/dest/value mirror exactly
-	// what setInt/setFP and the opcode cases write on the reference path.
+	// The record row under construction. setInt retires an integer
+	// result (writes to the hard-wired zero register are discarded and
+	// produce no observable value); setFP retires a floating-point result,
+	// which the trace carries as its IEEE-754 bit pattern.
 	var value, memAddr int64
 	flags := ins.flagBase
 	var dest byte

@@ -7,10 +7,12 @@
 // The interpreter is the repository's single hot path (every experiment
 // re-executes benchmark traces through it), so it is structured for
 // throughput: the text segment is pre-decoded once per machine into a dense
-// dispatch table whose entries carry the precomputed source-operand reads,
-// the per-instruction step is straight-line code with no closures and no
-// allocations, and the consumer fan-out is specialized for the common cases
-// of zero and one attached consumers.
+// dispatch table whose entries carry the packed source-operand reads, and
+// one dispatch loop (step.go) writes each retired instruction's record
+// fields straight into a chunk of trace columns. Consumers are served from
+// that chunk when it fills and when the run ends: a lone column appender
+// (a Recorder or Writer) owns the chunk itself, and every other set of
+// consumers is fed through one trace.ColumnSink.
 package vm
 
 import (
@@ -94,20 +96,17 @@ const PointStep = "vm.step"
 func init() { faults.Register(PointStep) }
 
 // decoded is one pre-decoded text-segment instruction: the operand fields
-// the interpreter needs, plus the source-operand reads the tracer reports,
+// the interpreter needs, plus the trace-column bytes the tracer reports,
 // computed once at machine construction instead of per dynamic execution.
 type decoded struct {
-	op    isa.Opcode
-	rd    isa.Reg
-	rs1   isa.Reg
-	rs2   isa.Reg
-	dir   isa.Directive
-	reads [2]trace.RegRead
-	imm   int64
+	op  isa.Opcode
+	rd  isa.Reg
+	rs1 isa.Reg
+	rs2 isa.Reg
+	imm int64
 
-	// Precomputed trace-column bytes for the fused recording path: the
-	// packed source-operand reads and the flags byte's directive bits, in
-	// the chunk codec's layout (fused.go stores them verbatim).
+	// The packed source-operand reads and the flags byte's directive bits,
+	// in the chunk codec's layout (step stores them verbatim).
 	r0, r1   byte
 	flagBase byte
 }
@@ -126,11 +125,7 @@ type Machine struct {
 	seq   int64
 
 	halted    bool
-	consumers trace.Tee
-	// rec is the reusable trace record handed to consumers; consumers
-	// must copy what they keep (the Consumer contract), which lets the
-	// simulator run allocation-free per instruction.
-	rec trace.Record
+	consumers []trace.Consumer
 }
 
 // New creates a machine ready to run p. The program's initialized data is
@@ -207,7 +202,7 @@ func (m *Machine) Release() {
 
 // predecode builds the dispatch table: one decoded entry per static
 // instruction with the source-operand reads the tracer reports for that
-// opcode precomputed.
+// opcode precomputed and packed.
 func predecode(text []isa.Instruction) []decoded {
 	dec := make([]decoded, len(text))
 	for i, ins := range text {
@@ -216,9 +211,9 @@ func predecode(text []isa.Instruction) []decoded {
 		d.rd = ins.Rd
 		d.rs1 = ins.Rs1
 		d.rs2 = ins.Rs2
-		d.dir = ins.Dir
 		d.imm = ins.Imm
 
+		var reads [2]trace.RegRead
 		intRead := func(r isa.Reg) trace.RegRead { return trace.RegRead{Valid: true, Reg: r} }
 		fpRead := func(r isa.Reg) trace.RegRead { return trace.RegRead{Valid: true, FP: true, Reg: r} }
 		switch ins.Op {
@@ -227,44 +222,33 @@ func predecode(text []isa.Instruction) []decoded {
 			isa.OpSRA, isa.OpSLT,
 			isa.OpST,
 			isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBGE:
-			d.reads[0] = intRead(ins.Rs1)
-			d.reads[1] = intRead(ins.Rs2)
+			reads[0] = intRead(ins.Rs1)
+			reads[1] = intRead(ins.Rs2)
 		case isa.OpADDI, isa.OpMULI, isa.OpANDI, isa.OpORI, isa.OpXORI,
 			isa.OpSLLI, isa.OpSRLI, isa.OpSRAI, isa.OpSLTI,
 			isa.OpLD, isa.OpFLD, isa.OpJALR, isa.OpITOF:
-			d.reads[0] = intRead(ins.Rs1)
+			reads[0] = intRead(ins.Rs1)
 		case isa.OpFST:
-			d.reads[0] = intRead(ins.Rs1)
-			d.reads[1] = fpRead(ins.Rs2)
+			reads[0] = intRead(ins.Rs1)
+			reads[1] = fpRead(ins.Rs2)
 		case isa.OpFADD, isa.OpFSUB, isa.OpFMUL, isa.OpFDIV,
 			isa.OpFLT, isa.OpFEQ:
-			d.reads[0] = fpRead(ins.Rs1)
-			d.reads[1] = fpRead(ins.Rs2)
+			reads[0] = fpRead(ins.Rs1)
+			reads[1] = fpRead(ins.Rs2)
 		case isa.OpFMOV, isa.OpFNEG, isa.OpFABS, isa.OpFSQRT, isa.OpFTOI:
-			d.reads[0] = fpRead(ins.Rs1)
+			reads[0] = fpRead(ins.Rs1)
 		}
-		d.r0 = packRegRead(d.reads[0])
-		d.r1 = packRegRead(d.reads[1])
+		d.r0 = trace.PackRead(reads[0])
+		d.r1 = trace.PackRead(reads[1])
 		d.flagBase = byte(ins.Dir) << 4
 	}
 	return dec
 }
 
-// packRegRead packs one source-operand read into the trace codec's byte
-// layout: bit7 Valid, bit6 FP, bits 0-5 the register number.
-func packRegRead(rd trace.RegRead) byte {
-	var b byte
-	if rd.Valid {
-		b = 0x80 | byte(rd.Reg)&0x3f
-		if rd.FP {
-			b |= 0x40
-		}
-	}
-	return b
-}
-
 // Attach registers a trace consumer; every subsequently retired instruction
-// is forwarded to it.
+// is delivered to it, in attach order with the other consumers. Delivery is
+// chunked: records reach consumers when a staged chunk fills and when Run
+// returns, not interleaved with execution (see trace.Consumer).
 func (m *Machine) Attach(c trace.Consumer) { m.consumers = append(m.consumers, c) }
 
 // Halted reports whether the program has executed HALT.
@@ -288,287 +272,32 @@ func (m *Machine) Mem(a int64) (isa.Word, error) {
 }
 
 // Run executes until HALT, the instruction budget, or a sandbox limit is
-// exhausted. It is the fused fast path: the halt/budget/limit/PC checks are
-// hoisted into one loop header and the step body is invoked directly on the
-// decoded instruction. Fault injection is snapshotted once — when no plan is
-// armed the loop carries a single always-false branch.
+// exhausted, delivering every retired instruction to the attached consumers
+// before it returns — also when the run ends in an error. A lone consumer
+// with a column stage of its own (a Recorder, a Writer) is appended into
+// directly; every other set of consumers, including none, is fed through
+// one trace.ColumnSink.
 func (m *Machine) Run() error {
-	budget := m.cfg.MaxInstructions
-	fuel := m.cfg.Limits.MaxSteps
+	if m.halted {
+		return nil
+	}
 	events := m.cfg.Limits.MaxTraceEvents
-	if events > 0 && len(m.consumers) == 0 {
+	if len(m.consumers) == 0 {
 		events = 0 // no consumers, no events to bound
 	}
-	inject := faults.Active()
-	// Fused recording fast path: a single column-writing consumer (the
-	// Recorder's default mode, or a ColumnSink over a batch kernel) takes
-	// the dispatch loop that stores destructured record fields straight
-	// into staging columns — no Record materialization, no interface call
-	// per step. Fault injection needs its per-step hook, so an armed plan
-	// keeps the per-record loop.
-	if !inject && len(m.consumers) == 1 {
-		switch c := m.consumers[0].(type) {
-		case trace.ColumnAppender:
-			if st := c.ColumnStage(); st != nil {
-				err := m.runFused(c, st, budget, fuel, events)
-				c.FlushTail()
+	if len(m.consumers) == 1 {
+		if ca, ok := m.consumers[0].(trace.ColumnAppender); ok {
+			if st := ca.ColumnStage(); st != nil {
+				err := m.run(ca, st, events)
+				ca.FlushTail()
 				return err
 			}
-		case trace.BatchConsumer:
-			// Batch kernels (profiler collectors, ILP engines) get the
-			// fused loop through a column sink that hands them whole
-			// staged chunks instead of one record per step.
-			sink := trace.NewColumnSink(c)
-			err := m.runFused(sink, sink.ColumnStage(), budget, fuel, events)
-			sink.Close()
-			return err
 		}
 	}
-	for !m.halted {
-		if m.seq >= budget {
-			return fmt.Errorf("%w (%d instructions, pc=%d)", ErrBudget, m.seq, m.pc)
-		}
-		if fuel > 0 && m.seq >= fuel {
-			return fmt.Errorf("%w: MaxSteps=%d reached at pc=%d", ErrFuelExhausted, fuel, m.pc)
-		}
-		if events > 0 && m.seq >= events {
-			return fmt.Errorf("%w: MaxTraceEvents=%d reached at pc=%d", ErrTraceLimit, events, m.pc)
-		}
-		if inject {
-			if err := faults.Inject(PointStep); err != nil {
-				return fmt.Errorf("vm: step %d: %w", m.seq, err)
-			}
-		}
-		if uint64(m.pc) >= uint64(len(m.dec)) {
-			return fmt.Errorf("%w: pc=%d text=[0,%d)", ErrPCFault, m.pc, len(m.dec))
-		}
-		if err := m.step(&m.dec[m.pc]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Step executes one instruction and notifies trace consumers.
-func (m *Machine) Step() error {
-	if m.halted {
-		return errors.New("vm: step after halt")
-	}
-	if uint64(m.pc) >= uint64(len(m.dec)) {
-		return fmt.Errorf("%w: pc=%d text=[0,%d)", ErrPCFault, m.pc, len(m.dec))
-	}
-	return m.step(&m.dec[m.pc])
-}
-
-// setInt retires an integer register result: architectural write plus the
-// destination fields of the pending trace record. Writes to the hard-wired
-// zero register are discarded and produce no observable value.
-func (m *Machine) setInt(rd isa.Reg, v isa.Word) {
-	if rd != isa.RegZero {
-		m.regs[rd] = v
-		m.rec.HasDest = true
-		m.rec.Dest = rd
-		m.rec.Value = v
-	}
-}
-
-// setFP retires a floating-point register result; the trace carries the
-// IEEE-754 bit pattern.
-func (m *Machine) setFP(rd isa.Reg, v float64) {
-	m.fregs[rd] = v
-	m.rec.HasDest = true
-	m.rec.DestFP = true
-	m.rec.Dest = rd
-	m.rec.Value = int64(math.Float64bits(v))
-}
-
-// step executes one pre-decoded instruction. The caller has already
-// bounds-checked the PC against the decode table.
-func (m *Machine) step(ins *decoded) error {
-	rec := &m.rec
-	*rec = trace.Record{
-		Addr:  m.pc,
-		Op:    ins.op,
-		Dir:   ins.dir,
-		Phase: m.phase,
-		Seq:   m.seq,
-		Reads: ins.reads,
-	}
-	nextPC := m.pc + 1
-
-	// The common operand fetch; per-opcode semantics below.
-	rs1 := m.regs[ins.rs1]
-	rs2 := m.regs[ins.rs2]
-
-	switch ins.op {
-	case isa.OpADD:
-		m.setInt(ins.rd, rs1+rs2)
-	case isa.OpSUB:
-		m.setInt(ins.rd, rs1-rs2)
-	case isa.OpMUL:
-		m.setInt(ins.rd, rs1*rs2)
-	case isa.OpDIV:
-		if rs2 == 0 {
-			return fmt.Errorf("%w at pc=%d", ErrDivZero, m.pc)
-		}
-		m.setInt(ins.rd, rs1/rs2)
-	case isa.OpREM:
-		if rs2 == 0 {
-			return fmt.Errorf("%w at pc=%d", ErrDivZero, m.pc)
-		}
-		m.setInt(ins.rd, rs1%rs2)
-	case isa.OpAND:
-		m.setInt(ins.rd, rs1&rs2)
-	case isa.OpOR:
-		m.setInt(ins.rd, rs1|rs2)
-	case isa.OpXOR:
-		m.setInt(ins.rd, rs1^rs2)
-	case isa.OpSLL:
-		m.setInt(ins.rd, rs1<<(uint64(rs2)&63))
-	case isa.OpSRL:
-		m.setInt(ins.rd, int64(uint64(rs1)>>(uint64(rs2)&63)))
-	case isa.OpSRA:
-		m.setInt(ins.rd, rs1>>(uint64(rs2)&63))
-	case isa.OpSLT:
-		m.setInt(ins.rd, boolWord(rs1 < rs2))
-
-	case isa.OpADDI:
-		m.setInt(ins.rd, rs1+ins.imm)
-	case isa.OpMULI:
-		m.setInt(ins.rd, rs1*ins.imm)
-	case isa.OpANDI:
-		m.setInt(ins.rd, rs1&ins.imm)
-	case isa.OpORI:
-		m.setInt(ins.rd, rs1|ins.imm)
-	case isa.OpXORI:
-		m.setInt(ins.rd, rs1^ins.imm)
-	case isa.OpSLLI:
-		m.setInt(ins.rd, rs1<<(uint64(ins.imm)&63))
-	case isa.OpSRLI:
-		m.setInt(ins.rd, int64(uint64(rs1)>>(uint64(ins.imm)&63)))
-	case isa.OpSRAI:
-		m.setInt(ins.rd, rs1>>(uint64(ins.imm)&63))
-	case isa.OpSLTI:
-		m.setInt(ins.rd, boolWord(rs1 < ins.imm))
-
-	case isa.OpLDI:
-		m.setInt(ins.rd, ins.imm)
-
-	case isa.OpLD:
-		a := rs1 + ins.imm
-		if uint64(a) >= uint64(len(m.mem)) {
-			return fmt.Errorf("%w: load of %d at pc=%d (mem size %d)", ErrMemFault, a, m.pc, len(m.mem))
-		}
-		rec.HasMem, rec.MemAddr = true, a
-		m.setInt(ins.rd, m.mem[a])
-	case isa.OpST:
-		a := rs1 + ins.imm
-		if uint64(a) >= uint64(len(m.mem)) {
-			return fmt.Errorf("%w: store to %d at pc=%d (mem size %d)", ErrMemFault, a, m.pc, len(m.mem))
-		}
-		m.mem[a] = rs2
-		rec.HasMem, rec.MemAddr = true, a
-		// Stores carry the stored value in the record (HasDest stays
-		// false): the store-value-prediction extension profiles it.
-		rec.Value = rs2
-	case isa.OpFLD:
-		a := rs1 + ins.imm
-		if uint64(a) >= uint64(len(m.mem)) {
-			return fmt.Errorf("%w: load of %d at pc=%d (mem size %d)", ErrMemFault, a, m.pc, len(m.mem))
-		}
-		rec.HasMem, rec.MemAddr = true, a
-		m.setFP(ins.rd, math.Float64frombits(uint64(m.mem[a])))
-	case isa.OpFST:
-		a := rs1 + ins.imm
-		if uint64(a) >= uint64(len(m.mem)) {
-			return fmt.Errorf("%w: store to %d at pc=%d (mem size %d)", ErrMemFault, a, m.pc, len(m.mem))
-		}
-		v := int64(math.Float64bits(m.fregs[ins.rs2]))
-		m.mem[a] = v
-		rec.HasMem, rec.MemAddr = true, a
-		rec.Value = v
-
-	case isa.OpBEQ:
-		if rs1 == rs2 {
-			nextPC = ins.imm
-			rec.Taken = true
-		}
-	case isa.OpBNE:
-		if rs1 != rs2 {
-			nextPC = ins.imm
-			rec.Taken = true
-		}
-	case isa.OpBLT:
-		if rs1 < rs2 {
-			nextPC = ins.imm
-			rec.Taken = true
-		}
-	case isa.OpBGE:
-		if rs1 >= rs2 {
-			nextPC = ins.imm
-			rec.Taken = true
-		}
-	case isa.OpJMP:
-		nextPC = ins.imm
-		rec.Taken = true
-	case isa.OpJAL:
-		m.setInt(ins.rd, m.pc+1)
-		nextPC = ins.imm
-		rec.Taken = true
-	case isa.OpJALR:
-		m.setInt(ins.rd, m.pc+1)
-		nextPC = rs1
-		rec.Taken = true
-
-	case isa.OpFADD:
-		m.setFP(ins.rd, m.fregs[ins.rs1]+m.fregs[ins.rs2])
-	case isa.OpFSUB:
-		m.setFP(ins.rd, m.fregs[ins.rs1]-m.fregs[ins.rs2])
-	case isa.OpFMUL:
-		m.setFP(ins.rd, m.fregs[ins.rs1]*m.fregs[ins.rs2])
-	case isa.OpFDIV:
-		m.setFP(ins.rd, m.fregs[ins.rs1]/m.fregs[ins.rs2])
-	case isa.OpFMOV:
-		m.setFP(ins.rd, m.fregs[ins.rs1])
-	case isa.OpFNEG:
-		m.setFP(ins.rd, -m.fregs[ins.rs1])
-	case isa.OpFABS:
-		m.setFP(ins.rd, math.Abs(m.fregs[ins.rs1]))
-	case isa.OpFSQRT:
-		m.setFP(ins.rd, math.Sqrt(math.Abs(m.fregs[ins.rs1])))
-	case isa.OpITOF:
-		m.setFP(ins.rd, float64(rs1))
-	case isa.OpFTOI:
-		m.setInt(ins.rd, truncToInt(m.fregs[ins.rs1]))
-	case isa.OpFLT:
-		m.setInt(ins.rd, boolWord(m.fregs[ins.rs1] < m.fregs[ins.rs2]))
-	case isa.OpFEQ:
-		m.setInt(ins.rd, boolWord(m.fregs[ins.rs1] == m.fregs[ins.rs2]))
-
-	case isa.OpNOP:
-	case isa.OpHALT:
-		m.halted = true
-	case isa.OpPHASE:
-		m.phase = int(ins.imm)
-		rec.Phase = m.phase
-
-	default:
-		return fmt.Errorf("vm: unimplemented opcode %s at pc=%d", ins.op, m.pc)
-	}
-
-	m.pc = nextPC
-	m.seq++
-	// Fan-out, specialized for the overwhelmingly common 0- and
-	// 1-consumer cases to avoid the slice-iteration overhead of the
-	// general Tee per retired instruction.
-	switch len(m.consumers) {
-	case 0:
-	case 1:
-		m.consumers[0].Consume(rec)
-	default:
-		m.consumers.Consume(rec)
-	}
-	return nil
+	sink := trace.NewColumnSink(m.consumers...)
+	err := m.run(sink, sink.ColumnStage(), events)
+	sink.Close()
+	return err
 }
 
 func boolWord(b bool) isa.Word {

@@ -249,16 +249,6 @@ func TestJALRToBadAddressFaults(t *testing.T) {
 	}
 }
 
-func TestStepAfterHalt(t *testing.T) {
-	m := run(t, "main:\n halt")
-	if !m.Halted() {
-		t.Fatal("not halted")
-	}
-	if err := m.Step(); err == nil {
-		t.Error("Step after halt succeeded")
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	p, err := asm.Assemble("t", "main:\n halt\n.data\nbuf:\n\t.space 100")
 	if err != nil {

@@ -67,13 +67,14 @@ func BenchmarkVMStepsRecording(b *testing.B) {
 	reportMIPS(b, total)
 }
 
-// BenchmarkVMStepsRecordingScalar measures the same recording run through
-// the VM's per-record step loop: wrapping the Recorder in a plain
-// ConsumerFunc hides its column stage, so every retired instruction is
-// materialized as a Record and delivered through Consume into the same
-// Recorder. The ratio scalar/fused is the recording speedup bench_smoke.sh
-// gates on — a machine-independent measure of what the fused
-// execute+encode loop buys.
+// BenchmarkVMStepsRecordingScalar measures the same recording run with
+// per-record delivery: wrapping the Recorder in a plain ConsumerFunc hides
+// its column stage, so the VM's one dispatch loop stages each chunk into a
+// ColumnSink, which materializes it as Records and delivers them through
+// Consume into the same Recorder. The ratio scalar/fused is the recording
+// speedup bench_smoke.sh gates on — a machine-independent measure of what
+// appending straight into the Recorder's stage buys over per-record
+// delivery.
 func BenchmarkVMStepsRecordingScalar(b *testing.B) {
 	prog, err := workload.Build("compress", workload.EvaluationInput())
 	if err != nil {
@@ -276,7 +277,7 @@ func BenchmarkTraceStore(b *testing.B) {
 	col := trace.NewRecorder()
 	spill := trace.NewRecorder()
 	spill.SetMemBudget(1)
-	if _, err := workload.Run(prog, trace.Tee{col, spill}); err != nil {
+	if _, err := workload.Run(prog, col, spill); err != nil {
 		b.Fatal(err)
 	}
 	col.Seal()
@@ -343,9 +344,10 @@ func BenchmarkTraceStore(b *testing.B) {
 // walkonly pair is the machine-independent headline (a near-free consumer,
 // so the ratio isolates decode + dispatch — the overhead the batch path
 // removes); scripts/bench_smoke.sh gates on it staying ≥ 2x. The profiler,
-// engine and ilp (the Section 5.3 machine fed by an FSM engine) pairs show
-// how much of the win survives under real consumer work. All legs report
-// ns/rec.
+// engine (an FSM engine, since the unannotated trace marks no profile
+// candidates and a profile engine would never touch its table) and ilp (the
+// Section 5.3 machine fed by an FSM engine) pairs show how much of the win
+// survives under real consumer work. All legs report ns/rec.
 func BenchmarkBatchKernels(b *testing.B) {
 	prog, err := workload.Build("compress", workload.EvaluationInput())
 	if err != nil {
@@ -399,13 +401,17 @@ func BenchmarkBatchKernels(b *testing.B) {
 		reportNsPerRec(b, total)
 	})
 	pair("engine", func(b *testing.B, deliver func(trace.BatchConsumer) trace.Consumer) {
+		pol, err := classify.NewFSMPolicy(classify.DefaultSatCounter)
+		if err != nil {
+			b.Fatal(err)
+		}
 		var total int64
 		for i := 0; i < b.N; i++ {
 			table, err := predictor.NewTable(predictor.Stride, predictor.DefaultTableConfig)
 			if err != nil {
 				b.Fatal(err)
 			}
-			rec.Replay(deliver(vpsim.NewProfileEngine(table)))
+			rec.Replay(deliver(vpsim.NewFSMEngine(table, pol)))
 			total += rec.Len()
 		}
 		b.StopTimer()

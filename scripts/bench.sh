@@ -6,8 +6,8 @@
 # (simulation substrate + experiment drivers), "speedups" (paired
 # baseline-vs-optimized ratios), "trace_storage" (columnar compression byte
 # counts), "batch_kernels" (per-record vs batch replay ns/rec + speedup
-# ratios), "recording" (fused execute+encode loop vs the VM's per-record
-# step loop into the same Recorder, ns/op + speedup),
+# ratios), "recording" (the VM appending into the Recorder's stage vs
+# per-record delivery through Recorder.Consume, ns/op + speedup),
 # "server" (vpserve throughput, requests/sec for cached vs uncached evaluate
 # calls), and "cluster" (vpcoord sharded-sweep throughput at one vs two
 # worker nodes).
@@ -128,11 +128,12 @@ END {
 ' "$1"
 }
 
-# Summarize the recording path: the fused execute+encode column loop
-# (BenchmarkVMStepsRecording) against the VM's per-record step loop feeding
-# the same Recorder through Consume (BenchmarkVMStepsRecordingScalar). Both
-# legs execute the same guest on the same machine, so the ns/op ratio is
-# the machine-independent recording speedup bench_smoke.sh gates on.
+# Summarize the recording path: the VM's dispatch loop appending straight
+# into the Recorder's stage (BenchmarkVMStepsRecording) against the same
+# loop delivering materialized records to the Recorder through Consume
+# (BenchmarkVMStepsRecordingScalar). Both legs execute the same guest on the
+# same machine, so the ns/op ratio is the machine-independent recording
+# speedup bench_smoke.sh gates on.
 emit_recording() {
     awk '
 /^BenchmarkVMStepsRecording(Scalar)?(-[0-9]+)?[ \t]/ {
