@@ -106,7 +106,7 @@ out:	.word 0
 	// Trace to a file and analyze offline.
 	run(t, filepath.Join(bin, "vprun"), "-trace", join("vecsum.vptrc"), join("vecsum.vpimg"))
 	out = run(t, filepath.Join(bin, "vptrace"), "-stats", join("vecsum.vptrc"))
-	if !strings.Contains(out, "records:") {
+	if !strings.Contains(out, "records:") || !strings.Contains(out, "VPTRC03") || !strings.Contains(out, "on-disk bytes/rec:") {
 		t.Errorf("vptrace -stats output: %s", out)
 	}
 	out = run(t, filepath.Join(bin, "vptrace"), "-critpath", join("vecsum.vptrc"))

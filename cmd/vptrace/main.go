@@ -121,6 +121,9 @@ func main() {
 	if *stats {
 		fmt.Printf("format:             %s\n", r.Format())
 		fmt.Printf("records:            %d\n", total)
+		if fi, err := f.Stat(); err == nil && total > 0 {
+			fmt.Printf("on-disk bytes/rec:  %.2f (%d bytes)\n", float64(fi.Size())/float64(total), fi.Size())
+		}
 		fmt.Printf("value producers:    %d (%.1f%%)\n", valueProds, pct(valueProds, total))
 		fmt.Printf("loads:              %d\n", loads)
 		fmt.Printf("stores:             %d\n", stores)

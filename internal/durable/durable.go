@@ -2,7 +2,7 @@
 // persistent, fingerprint-keyed artifact store for the in-memory LRU caches
 // (recorded traces, profile images, annotations, results, programs) and a
 // write-ahead journal for job state, both built from the same CRC-32C-framed
-// record format the VPTRC02 trace files use (DESIGN.md §13).
+// record format the trace files use (DESIGN.md §13).
 //
 // The economics follow the paper: a profile image is expensive to collect
 // and cheap to reuse, so a node restart should cost a warm-up, not a

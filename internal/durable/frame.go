@@ -6,7 +6,7 @@ import (
 	"hash/crc32"
 )
 
-// Frame format, shared by artifact files and the journal (the VPTRC02
+// Frame format, shared by artifact files and the journal (the trace-file
 // framing with the trace-specific payload swapped for opaque bytes):
 //
 //	u32  payload length (little-endian)

@@ -62,11 +62,11 @@ func TestFusedTraceFilesMatchScalarRecord(t *testing.T) {
 	}
 }
 
-// goldenEvalTraceSHA256 is the SHA-256 of compress's VPTRC02 evaluation
-// trace file (420,583 records, 4,705,461 bytes). Any change to the VM's
+// goldenEvalTraceSHA256 is the SHA-256 of compress's VPTRC03 evaluation
+// trace file (420,583 records, 3,726,478 bytes). Any change to the VM's
 // record stream, the column encoder or the frame layout changes it; update
 // it only together with a deliberate format change.
-const goldenEvalTraceSHA256 = "ebc786f1352a3a889abefd8438bedc20eedcfe94d5b2e1a82c1399f8c26117a7"
+const goldenEvalTraceSHA256 = "e1f5f73ad5d320cd115c934c4824c158e0f301c1e1dc2b1ab9c460f3b6fdd8f8"
 
 // TestEvalTraceFileGolden pins the on-disk format byte for byte.
 func TestEvalTraceFileGolden(t *testing.T) {

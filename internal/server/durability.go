@@ -432,7 +432,7 @@ func (s *Server) programByID(id string) (*program.Program, bool) {
 	return stored, true
 }
 
-// encodeTrace replays a sealed recorder into the VPTRC02 file codec.
+// encodeTrace replays a sealed recorder into the trace-file codec.
 func encodeTrace(rec *trace.Recorder) ([]byte, error) {
 	var buf bytes.Buffer
 	tw, err := trace.NewWriter(&buf)

@@ -592,7 +592,7 @@ func (s *Server) compute(ctx context.Context, p *program.Program, fp string, inp
 // same fingerprint replay the cached trace.
 func (s *Server) recordedTrace(p *program.Program, fp string) (*trace.Recorder, error) {
 	rec, _, err := s.traces.Do(fp, func() (*trace.Recorder, error) {
-		// Disk tier first: a persisted trace streams back through the VPTRC02
+		// Disk tier first: a persisted trace streams back through the file
 		// codec instead of re-executing the guest. The resident-bytes gauge is
 		// still accounted (OnEvict will subtract it), but the record-stage
 		// histogram is not — nothing was recorded, which is exactly what the

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"sync"
 
 	"repro/internal/isa"
@@ -63,7 +64,8 @@ type Batch struct {
 
 	// Addr, Value, MemAddr and Phase are the decoded integer columns;
 	// Value and MemAddr are meaningful where FlagHasDest / FlagHasMem are
-	// set, as on Record.
+	// set, as on Record. MemAddr is 0 wherever FlagHasMem is clear: the
+	// chunk codec keeps memory addresses only for memory records.
 	Addr    []int64
 	Value   []int64
 	MemAddr []int64
@@ -174,19 +176,25 @@ func patchDirs(dst []isa.Directive, addrs []int64, dirs []isa.Directive) {
 }
 
 // ConsumeBatch implements BatchConsumer for Counter with no per-record
-// dispatch: HasDest bits are summed eight flag bytes at a time (mask bit 0
-// of each lane, then one multiply adds the lanes into the top byte).
+// dispatch.
 func (c *Counter) ConsumeBatch(b *Batch) {
 	c.Records += int64(b.N)
-	var vp int64
-	flags := b.Flags
+	c.ValueProds += int64(countFlag(b.Flags, FlagHasDest))
+}
+
+// countFlag counts the flag bytes that set bit (one of the Flag* bits),
+// eight bytes at a time: each lane's bit is shifted down to bit 0, then one
+// multiply adds the lanes into the top byte.
+func countFlag(flags []byte, bit byte) int {
+	shift := bits.TrailingZeros8(bit)
+	m := 0
 	for len(flags) >= 8 {
-		x := binary.LittleEndian.Uint64(flags) & 0x0101010101010101
-		vp += int64(x * 0x0101010101010101 >> 56)
+		x := binary.LittleEndian.Uint64(flags) >> shift & 0x0101010101010101
+		m += int(x * 0x0101010101010101 >> 56)
 		flags = flags[8:]
 	}
 	for _, f := range flags {
-		vp += int64(f & FlagHasDest)
+		m += int(f >> shift & 1)
 	}
-	c.ValueProds += vp
+	return m
 }

@@ -190,9 +190,9 @@ func TestBatchMultiEvalMixed(t *testing.T) {
 }
 
 // TestBatchFileRoundTrip proves the batch path over traces that crossed the
-// file format: a stream written as VPTRC02 and read back into a fresh
+// file format: a stream written as a trace file and read back into a fresh
 // Recorder replays identically to batch and scalar consumers, and matches
-// the original stream (v2 preserves all fields and derives Seq from
+// the original stream (the file preserves all fields and derives Seq from
 // position, which this stream satisfies by construction).
 func TestBatchFileRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))

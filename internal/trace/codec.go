@@ -8,7 +8,7 @@ import (
 )
 
 // This file implements the columnar chunk codec shared by the in-memory
-// Recorder, the spill file, and the VPTRC02 trace-file format. A chunk of
+// Recorder, the spill file, and the VPTRC03 trace-file format. A chunk of
 // records is transposed into packed structure-of-arrays columns so each
 // field compresses against its own neighbors:
 //
@@ -22,15 +22,25 @@ import (
 //	then five varint columns, each prefixed by a uvarint byte length:
 //	  addr   zigzag delta vs the previous record's Addr    (first vs 0)
 //	  value  zigzag raw produced value
-//	  mem    zigzag delta vs the previous record's MemAddr (first vs 0)
+//	  mem    zigzag delta vs the previous HasMem record's MemAddr (first
+//	         vs 0), one element per record with the HasMem flag only
 //	  phase  zigzag delta vs the previous record's Phase   (first vs 0)
 //	  seq    zigzag delta vs the record's position firstSeq+i
-//	         (present only when the chunk is encoded withSeq; the VPTRC02
-//	         file format omits it and derives Seq from position)
+//	         (present only when the chunk is encoded withSeq; the file
+//	         format omits it and derives Seq from position)
+//
+// A column whose zigzag values are all zero (phase and seq in every chunk
+// the VM records) is written with byte length 0. Records without HasMem
+// decode with MemAddr 0: the codec keeps MemAddr only where it means
+// something (Record.MemAddr).
+//
+// VPTRC02 frames carry the same layout with a dense mem column (one delta
+// per record, the chain running through every record's MemAddr) and no
+// zero-width columns; the file reader still decodes them.
 //
 // Instruction addresses advance by small deltas, produced values and memory
 // addresses cluster, phases almost never change and sequence numbers are
-// positional, so the common record costs ~10 bytes against 56 bytes for the
+// positional, so the common record costs ~9 bytes against 56 bytes for the
 // in-memory Record struct and 40 bytes for the fixed VPTRC01 file encoding.
 // Chunks are self-contained (every delta chain restarts at the chunk
 // boundary), which is what lets the Recorder spill and reload them
@@ -39,7 +49,7 @@ import (
 // The codec preserves records with canonical ISA field ranges exactly:
 // Dir < 4 (isa defines 3 directives), register numbers < 64 (the files have
 // packed operands into 6 bits since VPTRC01; the ISA defines 32+32
-// registers). The VM can produce nothing else.
+// registers), MemAddr 0 without HasMem. The VM can produce nothing else.
 
 // chunkColumns is the number of varint columns when seq is included.
 const chunkColumns = 5
@@ -84,7 +94,7 @@ func (e *chunkEncoder) encodeCols(dst []byte, st *RecordColumns, withSeq bool) [
 	zz := e.zz[:n]
 	dst = e.appendDeltaCol(dst, st.Addr[:n], zz)
 	dst = e.appendRawCol(dst, st.Value[:n], zz)
-	dst = e.appendDeltaCol(dst, st.Mem[:n], zz)
+	dst = e.appendMemCol(dst, st.Mem[:n], st.Flags[:n], zz)
 	dst = e.appendDeltaCol(dst, st.Phase[:n], zz)
 	if withSeq {
 		dst = e.appendSeqCol(dst, st.Seq[:n], zz, st.FirstSeq)
@@ -106,6 +116,27 @@ func (e *chunkEncoder) appendDeltaCol(dst []byte, vals []int64, zz []uint64) []b
 		andv &= z
 	}
 	return e.appendCol(dst, zz, orv, andv)
+}
+
+// appendMemCol is appendDeltaCol over the records whose flags carry
+// FlagHasMem only: the sparse mem column.
+func (e *chunkEncoder) appendMemCol(dst []byte, mem []int64, flags []byte, zz []uint64) []byte {
+	var orv uint64
+	andv := ^uint64(0)
+	var prev int64
+	m := 0
+	for i, f := range flags {
+		if f&FlagHasMem != 0 {
+			v := mem[i]
+			z := zigzag(v - prev)
+			prev = v
+			zz[m] = z
+			m++
+			orv |= z
+			andv &= z
+		}
+	}
+	return e.appendCol(dst, zz[:m], orv, andv)
 }
 
 // appendRawCol is appendDeltaCol without the delta transform (the value
@@ -151,7 +182,8 @@ func growBytes(dst []byte, n int) []byte {
 }
 
 // appendCol appends one length-prefixed varint column from the zigzag
-// scratch. The prescan accumulators pick the layout: orv < 0x80 means every
+// scratch. The prescan accumulators pick the layout: orv == 0 means every
+// value is zero, written as a zero-width column; orv < 0x80 means every
 // varint is one byte (a straight-line store loop, no per-element width
 // logic); a common set bit at position ≥ 7 (andv) with orv < 0x4000 proves
 // every element is in [0x80, 0x4000) — exactly two canonical bytes each.
@@ -160,6 +192,8 @@ func growBytes(dst []byte, n int) []byte {
 func (e *chunkEncoder) appendCol(dst []byte, zz []uint64, orv, andv uint64) []byte {
 	n := len(zz)
 	switch {
+	case orv == 0:
+		dst = append(dst, 0)
 	case orv < 0x80:
 		dst = binary.AppendUvarint(dst, uint64(n))
 		dst = growBytes(dst, n)
@@ -199,13 +233,15 @@ type chunkDecoder struct {
 	seq                     colCursor // zero (and unused) without the seq column
 	firstSeq                int64
 	withSeq                 bool
+	sparseMem               bool // VPTRC03 layout: mem elements for HasMem records only
 	strict                  bool // validate Op/Dir per record (file frames)
 }
 
-// init parses the chunk header and column bounds of data and prescans each
-// varint column's layout. firstSeq is the stream position of the chunk's
-// first record (the basis Seq derives from).
-func (d *chunkDecoder) init(data []byte, firstSeq int64, withSeq, strict bool) error {
+// init parses the chunk header and column bounds of data, laid out as
+// format (FormatV3, or the dense FormatV2 of old trace files), and prescans
+// each varint column's layout. firstSeq is the stream position of the
+// chunk's first record (the basis Seq derives from).
+func (d *chunkDecoder) init(data []byte, firstSeq int64, format Format, withSeq, strict bool) error {
 	n64, hdr := binary.Uvarint(data)
 	if hdr <= 0 {
 		return fmt.Errorf("trace: chunk header: bad record count")
@@ -258,17 +294,23 @@ func (d *chunkDecoder) init(data []byte, firstSeq int64, withSeq, strict bool) e
 	if off != len(data) {
 		return fmt.Errorf("trace: %d trailing bytes after chunk payload", len(data)-off)
 	}
+	v3 := format == FormatV3
+	nmem := n
+	if v3 {
+		nmem = countFlag(d.flags, FlagHasMem)
+	}
 	d.n = n
-	d.addr = newColCursor(varCols[0], n, true)
-	d.value = newColCursor(varCols[1], n, false)
-	d.mem = newColCursor(varCols[2], n, true)
-	d.phase = newColCursor(varCols[3], n, true)
+	d.addr = newColCursor(varCols[0], n, true, v3)
+	d.value = newColCursor(varCols[1], n, false, v3)
+	d.mem = newColCursor(varCols[2], nmem, true, v3)
+	d.phase = newColCursor(varCols[3], n, true, v3)
 	d.seq = colCursor{}
 	if withSeq {
-		d.seq = newColCursor(varCols[4], n, false)
+		d.seq = newColCursor(varCols[4], n, false, v3)
 	}
 	d.firstSeq = firstSeq
 	d.withSeq = withSeq
+	d.sparseMem = v3
 	d.strict = strict
 	return nil
 }
@@ -290,13 +332,18 @@ const batchBlock = 2048
 // column decode in ranges: earlier sub-batches may already have been
 // delivered when a later one would find the speculation wrong.
 const (
-	colGen uint8 = iota // irregular widths: serial cursor decode
-	colU1               // every varint one byte: element i at col[i]
-	colU2               // every varint two bytes: element i at col[2i]
+	colGen  uint8 = iota // irregular widths: serial cursor decode
+	colU1                // every varint one byte: element i at col[i]
+	colU2                // every varint two bytes: element i at col[2i]
+	colZero              // zero width (VPTRC03): every element zero
 )
 
-func classifyCol(col []byte, n int) uint8 {
+// classifyCol picks the layout of a column of n varints; zeroOK admits the
+// zero-width encoding, which VPTRC02 frames never use.
+func classifyCol(col []byte, n int, zeroOK bool) uint8 {
 	switch {
+	case zeroOK && len(col) == 0:
+		return colZero
 	case len(col) == n && colAll1(col):
 		return colU1
 	case len(col) == 2*n && colAll2(col):
@@ -340,26 +387,29 @@ func colAll2(col []byte) bool {
 
 // colCursor decodes one zigzag varint column of n elements incrementally,
 // range by range, accumulating deltas when delta is set. Uniform columns
-// index directly off the element number, with no serial width chain; the
-// generic kind (in practice the value and mem columns, whose widths vary
-// record to record) continues a serial decode from the saved byte cursor.
+// slice their next elements at fixed width, with no serial width chain;
+// the generic kind (in practice the value column, whose widths vary record
+// to record) continues a serial decode from the saved byte cursor.
 type colCursor struct {
 	col   []byte
 	kind  uint8
 	delta bool
-	pos   int   // byte cursor (colGen)
+	pos   int   // byte cursor: the bytes decoded so far
 	acc   int64 // delta accumulator
 }
 
-func newColCursor(col []byte, n int, delta bool) colCursor {
-	return colCursor{col: col, kind: classifyCol(col, n), delta: delta}
+func newColCursor(col []byte, n int, delta, zeroOK bool) colCursor {
+	return colCursor{col: col, kind: classifyCol(col, n, zeroOK), delta: delta}
 }
 
-// decode fills out with the elements [start, start+len(out)) of the column.
-func (c *colCursor) decode(out []int64, start int) error {
+// decode fills out with the column's next len(out) elements.
+func (c *colCursor) decode(out []int64) error {
 	switch c.kind {
+	case colZero:
+		clear(out) // zero deltas from a zero start sum to zero too
 	case colU1:
-		seg := c.col[start : start+len(out)]
+		seg := c.col[c.pos : c.pos+len(out)]
+		c.pos += len(out)
 		if c.delta {
 			acc := c.acc
 			for i, cb := range seg {
@@ -373,7 +423,8 @@ func (c *colCursor) decode(out []int64, start int) error {
 			}
 		}
 	case colU2:
-		seg := c.col[2*start : 2*(start+len(out))]
+		seg := c.col[c.pos : c.pos+2*len(out)]
+		c.pos += 2 * len(out)
 		if c.delta {
 			acc := c.acc
 			for i := range out {
@@ -396,14 +447,29 @@ func (c *colCursor) decode(out []int64, start int) error {
 	return nil
 }
 
-// trailing returns the bytes the column holds past the varints decoded so
-// far. Uniform columns hold exactly n varints by classification.
-func (c *colCursor) trailing() int {
-	if c.kind != colGen {
-		return 0
+// decodeSparse fills out, one element per record of flags, with the
+// column's next elements at the records that set FlagHasMem and 0 at the
+// others. The elements decode into the tail of out and spread forward in
+// place: the source index never trails the destination (their gap is the
+// count of non-memory records still ahead), so no element is overwritten
+// before it moves.
+func (c *colCursor) decodeSparse(out []int64, flags []byte) error {
+	k := len(out)
+	j := k - countFlag(flags, FlagHasMem)
+	if err := c.decode(out[j:]); err != nil {
+		return err
 	}
-	return len(c.col) - c.pos
+	for i, f := range flags {
+		h := int(f >> 3 & 1)
+		out[i] = out[min(j, k-1)] & -int64(h)
+		j += h
+	}
+	return nil
 }
+
+// trailing returns the bytes the column holds past the varints decoded so
+// far.
+func (c *colCursor) trailing() int { return len(c.col) - c.pos }
 
 // decodeGenericRun decodes the next len(out) varints of col starting at
 // byte cursor ci with delta accumulator acc, returning the advanced cursor
@@ -499,34 +565,33 @@ func (d *chunkDecoder) decodeRange(b *Batch, start, k int) error {
 	for i, f := range b.Flags {
 		dir[i] = isa.Directive(f >> 4)
 	}
-	if err := d.addr.decode(b.Addr, start); err != nil {
+	if err := d.addr.decode(b.Addr); err != nil {
 		return err
 	}
-	if err := d.value.decode(b.Value, start); err != nil {
+	if err := d.value.decode(b.Value); err != nil {
 		return err
 	}
-	if err := d.mem.decode(b.MemAddr, start); err != nil {
+	if d.sparseMem {
+		if err := d.mem.decodeSparse(b.MemAddr, b.Flags); err != nil {
+			return err
+		}
+	} else if err := d.mem.decode(b.MemAddr); err != nil {
 		return err
 	}
-	if err := d.phase.decode(b.Phase, start); err != nil {
+	if err := d.phase.decode(b.Phase); err != nil {
 		return err
 	}
 	seq := b.Seq
 	base := b.FirstSeq
 	switch {
-	case !d.withSeq:
+	case !d.withSeq || d.seq.kind == colZero:
+		// The overwhelmingly common case: a single-stream recording's seq
+		// deltas are all zero, so Seq is the stream position.
 		for i := range seq {
 			seq[i] = base + int64(i)
 		}
-	case d.seq.kind == colU1:
-		// The overwhelmingly common case: every seq delta is one byte (a
-		// single-stream recording has them all zero), decoded fused with
-		// the positional add rather than in two passes.
-		for i, c := range d.seq.col[start : start+k] {
-			seq[i] = (int64(c>>1) ^ -int64(c&1)) + base + int64(i)
-		}
 	default:
-		if err := d.seq.decode(seq, start); err != nil {
+		if err := d.seq.decode(seq); err != nil {
 			return err
 		}
 		for i := range seq {
@@ -579,7 +644,7 @@ func (d *chunkDecoder) streamBatch(b *Batch, fn func(*Batch)) error {
 // sub-batches. Failure would mean memory or spill-file corruption.
 func decodeRecorded(b *Batch, data []byte, firstSeq int64, fn func(*Batch)) {
 	var d chunkDecoder
-	err := d.init(data, firstSeq, true, false)
+	err := d.init(data, firstSeq, FormatV3, true, false)
 	if err == nil {
 		if fn == nil {
 			err = d.decodeBatch(b)

@@ -24,8 +24,13 @@ func synthStream(first, n int64) []Record {
 // materializes it through Batch.Records: whole (decodeBatch), or in
 // batchBlock-record sub-batches (streamBatch) when stream is set.
 func decodeRecords(data []byte, firstSeq int64, withSeq, strict, stream bool) ([]Record, error) {
+	return decodeRecordsAs(FormatV3, data, firstSeq, withSeq, strict, stream)
+}
+
+// decodeRecordsAs is decodeRecords for a chunk laid out as format.
+func decodeRecordsAs(format Format, data []byte, firstSeq int64, withSeq, strict, stream bool) ([]Record, error) {
 	var d chunkDecoder
-	if err := d.init(data, firstSeq, withSeq, strict); err != nil {
+	if err := d.init(data, firstSeq, format, withSeq, strict); err != nil {
 		return nil, err
 	}
 	var b Batch
@@ -83,7 +88,7 @@ func TestCodecRoundTrip(t *testing.T) {
 func TestCodecRoundTripExtremes(t *testing.T) {
 	recs := []Record{
 		{Addr: math.MaxInt64, Op: isa.OpADD, Value: math.MinInt64, MemAddr: math.MaxInt64, HasMem: true, Phase: math.MaxInt32, Seq: 900},
-		{Addr: math.MinInt64, Op: isa.OpSUB, Value: math.MaxInt64, MemAddr: math.MinInt64, Phase: math.MinInt32, Seq: -5},
+		{Addr: math.MinInt64, Op: isa.OpSUB, Value: math.MaxInt64, MemAddr: math.MinInt64, HasMem: true, Phase: math.MinInt32, Seq: -5},
 		{Addr: 0, Op: isa.OpBEQ, Dir: isa.DirLastValue, Taken: true, Value: -1, Phase: -3, Seq: 1 << 60},
 		{Addr: 1 << 62, Op: isa.OpLD, HasDest: true, Dest: 63, Value: 1, MemAddr: -1, HasMem: true, Seq: 3},
 	}

@@ -43,7 +43,9 @@ type RecordColumns struct {
 	Reads []byte
 
 	// Addr, Value, Mem, Phase and Seq are the raw (untransformed) integer
-	// fields; the chunk codec delta-compresses them at flush time.
+	// fields; the chunk codec delta-compresses them at flush time. Mem is
+	// encoded only where the flags carry FlagHasMem; producers stage 0
+	// elsewhere.
 	Addr  []int64
 	Value []int64
 	Mem   []int64
@@ -88,7 +90,7 @@ func PackFlags(r *Record) byte {
 
 // appendRecord destructures r into the columns — the per-record producer's
 // entry into column staging, packing exactly what the VM dispatch loop
-// writes.
+// writes (MemAddr 0 without HasMem, which is all the codec keeps).
 func (st *RecordColumns) appendRecord(r *Record) {
 	i := st.N
 	st.Op[i] = byte(r.Op)
@@ -98,7 +100,10 @@ func (st *RecordColumns) appendRecord(r *Record) {
 	st.Reads[2*i+1] = PackRead(r.Reads[1])
 	st.Addr[i] = r.Addr
 	st.Value[i] = r.Value
-	st.Mem[i] = r.MemAddr
+	st.Mem[i] = 0
+	if r.HasMem {
+		st.Mem[i] = r.MemAddr
+	}
 	st.Phase[i] = int64(r.Phase)
 	st.Seq[i] = r.Seq
 	st.N = i + 1

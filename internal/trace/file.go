@@ -20,7 +20,7 @@ import (
 // VPTRC01 (legacy, read only): an 8-byte magic followed by fixed 40-byte
 // records. Reader accepts it so existing trace files stay readable.
 //
-// VPTRC02: the 8-byte magic followed by self-delimiting frames,
+// VPTRC03: the 8-byte magic followed by self-delimiting frames,
 // each one columnar-compressed chunk of up to fileChunkSize records:
 //
 //	u32  payload length (little-endian)
@@ -29,29 +29,39 @@ import (
 //	         on-disk Seq field is redundant (records are written in stream
 //	         order) and is derived from record position on read.
 //
+// VPTRC02 (read only) has the same frames around the older chunk layout:
+// a dense mem column and no zero-width columns (see codec.go).
+//
 // A clean EOF falls exactly on a frame boundary; anything else is reported
-// as truncation. Readers accept both versions (sniffed from the magic);
-// writers produce VPTRC02.
+// as truncation. Readers accept every version (sniffed from the magic);
+// writers produce VPTRC03.
 
 var (
 	fileMagicV1 = [8]byte{'V', 'P', 'T', 'R', 'C', '0', '1', '\n'}
 	fileMagicV2 = [8]byte{'V', 'P', 'T', 'R', 'C', '0', '2', '\n'}
+	fileMagicV3 = [8]byte{'V', 'P', 'T', 'R', 'C', '0', '3', '\n'}
 )
 
 // Format identifies the on-disk trace encoding a Reader found.
 type Format int
 
 const (
-	// FormatV2 is the framed columnar-compressed encoding Writer produces.
+	// FormatV2 is the framed columnar encoding with a dense mem column
+	// (read only).
 	FormatV2 Format = iota
 	// FormatV1 is the legacy fixed-40-byte-record encoding (read only).
 	FormatV1
+	// FormatV3 is the framed columnar encoding Writer produces.
+	FormatV3
 )
 
 // String names the format as it appears in the file magic.
 func (f Format) String() string {
-	if f == FormatV1 {
+	switch f {
+	case FormatV1:
 		return "VPTRC01"
+	case FormatV3:
+		return "VPTRC03"
 	}
 	return "VPTRC02"
 }
@@ -70,7 +80,7 @@ var ErrCorrupt = errors.New("corrupt trace file")
 //	phase uint16, reads [2]uint8 (bit7 valid, bit6 fp, bits0-5 reg)
 const v1RecordSize = 8 + 8 + 8 + 8 + 4 + 2 + 2
 
-// fileChunkSize is the records-per-frame granularity of VPTRC02 writers:
+// fileChunkSize is the records-per-frame granularity of the framed formats:
 // small enough that a reader buffers at most ~230 KiB of decoded records,
 // large enough that the delta columns compress well.
 const fileChunkSize = 4096
@@ -81,7 +91,7 @@ const maxFramePayload = 1 << 26
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Writer streams records to an io.Writer as VPTRC02. Write errors are
+// Writer streams records to an io.Writer as VPTRC03. Write errors are
 // sticky: the first failure is captured with the record index and byte
 // offset where the stream stopped being durable, every record not durably
 // written is counted as dropped, and Flush/Close surface the annotated
@@ -108,12 +118,12 @@ type Writer struct {
 	err     error
 }
 
-// NewWriter writes the VPTRC02 header and returns a streaming writer.
+// NewWriter writes the VPTRC03 header and returns a streaming writer.
 func NewWriter(w io.Writer) (*Writer, error) {
-	if _, err := w.Write(fileMagicV2[:]); err != nil {
+	if _, err := w.Write(fileMagicV3[:]); err != nil {
 		return nil, fmt.Errorf("trace: write magic: %w", err)
 	}
-	return &Writer{out: w, cols: newRecordColumns(fileChunkSize), off: int64(len(fileMagicV2))}, nil
+	return &Writer{out: w, cols: newRecordColumns(fileChunkSize), off: int64(len(fileMagicV3))}, nil
 }
 
 // flushBuf writes the pending batch. On failure it records the first error
@@ -196,7 +206,7 @@ func (tw *Writer) FlushColumns() *RecordColumns {
 // Flush or Close, like records delivered through Consume.
 func (tw *Writer) FlushTail() {}
 
-// flushFrame encodes and writes the staged columns as one VPTRC02 frame.
+// flushFrame encodes and writes the staged columns as one VPTRC03 frame.
 // Records are counted as accepted here, at frame granularity, because column
 // producers bypass Consume and write the stage directly.
 func (tw *Writer) flushFrame() {
@@ -336,12 +346,12 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// Reader streams records from an io.Reader, accepting both trace formats.
+// Reader streams records from an io.Reader, accepting every trace format.
 type Reader struct {
 	r      *bufio.Reader
 	format Format
 
-	// v2 state: the decoded frame being drained.
+	// Framed-format state: the decoded frame being drained.
 	batch   Batch
 	bi      int
 	payload []byte
@@ -361,6 +371,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 		return &Reader{r: br, format: FormatV1}, nil
 	case fileMagicV2:
 		return &Reader{r: br, format: FormatV2}, nil
+	case fileMagicV3:
+		return &Reader{r: br, format: FormatV3}, nil
 	}
 	return nil, fmt.Errorf("trace: bad magic %q (not a trace file)", got)
 }
@@ -385,7 +397,7 @@ func (tr *Reader) Next(r *Record) error {
 	return nil
 }
 
-// readFrame reads and decodes the next VPTRC02 frame into tr.batch.
+// readFrame reads and decodes the next frame into tr.batch.
 func (tr *Reader) readFrame() error {
 	var hdr [8]byte
 	if _, err := io.ReadFull(tr.r, hdr[:]); err != nil {
@@ -415,7 +427,7 @@ func (tr *Reader) readFrame() error {
 		return fmt.Errorf("trace: %w: frame CRC mismatch (stored %#x, computed %#x)", ErrCorrupt, crc, got)
 	}
 	var d chunkDecoder
-	err := d.init(tr.payload, tr.seq, false, true)
+	err := d.init(tr.payload, tr.seq, tr.format, false, true)
 	if err == nil {
 		err = d.decodeBatch(&tr.batch)
 	}

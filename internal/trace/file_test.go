@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"strings"
@@ -11,11 +13,12 @@ import (
 )
 
 // The format fixtures hold the first fixtureLen records of hydro2d's
-// evaluation run, fixtureV1 in the VPTRC01 encoding and fixtureV2 in
-// VPTRC02, each written by a real writer for that format.
+// evaluation run, fixtureV1 in the VPTRC01 encoding, fixtureV2 in VPTRC02
+// and fixtureV3 in VPTRC03, each written by a real writer for that format.
 const (
 	fixtureV1  = "testdata/hydro2d-400.vptrc01"
 	fixtureV2  = "testdata/hydro2d-400.vptrc02"
+	fixtureV3  = "testdata/hydro2d-400.vptrc03"
 	fixtureLen = 400
 )
 
@@ -46,8 +49,8 @@ func fixtureRecords(t *testing.T, path string) []Record {
 	return recs
 }
 
-// encodeV2 writes recs through a Writer and returns the file bytes.
-func encodeV2(t *testing.T, recs []Record) []byte {
+// encodeFile writes recs through a Writer and returns the file bytes.
+func encodeFile(t *testing.T, recs []Record) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf)
@@ -69,7 +72,7 @@ func encodeV2(t *testing.T, recs []Record) []byte {
 func TestFileV2MultiFrame(t *testing.T) {
 	const n = fileChunkSize*2 + 100
 	recs := synthStream(0, n)
-	data := encodeV2(t, recs)
+	data := encodeFile(t, recs)
 
 	r, err := NewReader(bytes.NewReader(data))
 	if err != nil {
@@ -238,7 +241,7 @@ func TestWriterSurfacesWriteError(t *testing.T) {
 // fails at the first record of the second frame, at the byte after frame 1.
 func TestWriterErrorOffsetPointsAtFailure(t *testing.T) {
 	recs := synthStream(0, fileChunkSize+5)
-	frame1 := len(encodeV2(t, recs[:fileChunkSize]))
+	frame1 := len(encodeFile(t, recs[:fileChunkSize]))
 	fw := &flakyWriter{failAfter: frame1}
 	w, err := NewWriter(fw)
 	if err != nil {
@@ -264,11 +267,12 @@ func TestWriterErrorOffsetPointsAtFailure(t *testing.T) {
 	}
 }
 
-// TestFileFormatsCarryIdenticalStreams reads one stream from its VPTRC01
-// and VPTRC02 fixtures: both readers must reproduce it record for record,
-// and re-encoding it today must give the VPTRC02 fixture byte for byte.
+// TestFileFormatsCarryIdenticalStreams reads one stream from its VPTRC01,
+// VPTRC02 and VPTRC03 fixtures: every reader must reproduce it record for
+// record, and re-encoding it today must give the VPTRC03 fixture byte for
+// byte.
 func TestFileFormatsCarryIdenticalStreams(t *testing.T) {
-	for path, want := range map[string]Format{fixtureV1: FormatV1, fixtureV2: FormatV2} {
+	for path, want := range map[string]Format{fixtureV1: FormatV1, fixtureV2: FormatV2, fixtureV3: FormatV3} {
 		r, err := NewReader(bytes.NewReader(readFixture(t, path)))
 		if err != nil {
 			t.Fatal(err)
@@ -277,13 +281,93 @@ func TestFileFormatsCarryIdenticalStreams(t *testing.T) {
 			t.Errorf("%s: Format = %v, want %v", path, r.Format(), want)
 		}
 	}
-	v1, v2 := fixtureRecords(t, fixtureV1), fixtureRecords(t, fixtureV2)
+	v1, v2, v3 := fixtureRecords(t, fixtureV1), fixtureRecords(t, fixtureV2), fixtureRecords(t, fixtureV3)
 	for i := range v1 {
-		if v1[i] != v2[i] {
-			t.Fatalf("record %d: v1 %+v, v2 %+v", i, v1[i], v2[i])
+		if v1[i] != v2[i] || v1[i] != v3[i] {
+			t.Fatalf("record %d: v1 %+v, v2 %+v, v3 %+v", i, v1[i], v2[i], v3[i])
 		}
 	}
-	if !bytes.Equal(encodeV2(t, v1), readFixture(t, fixtureV2)) {
-		t.Error("re-encoding the fixture stream differs from the VPTRC02 fixture")
+	if !bytes.Equal(encodeFile(t, v1), readFixture(t, fixtureV3)) {
+		t.Error("re-encoding the fixture stream differs from the VPTRC03 fixture")
+	}
+}
+
+// frameFile assembles a trace file from a magic and frame payloads, each
+// framed with its length and a valid CRC, so the chunk decoder sees them.
+func frameFile(magic [8]byte, payloads ...[]byte) []byte {
+	out := append([]byte(nil), magic[:]...)
+	for _, p := range payloads {
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(p)))
+		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(p, castagnoli))
+		out = append(out, p...)
+	}
+	return out
+}
+
+// firstPayload returns the payload of a trace file's first frame.
+func firstPayload(file []byte) []byte {
+	size := binary.LittleEndian.Uint32(file[8:])
+	return file[16 : 16+size]
+}
+
+// spliceCol returns a copy of an encoded chunk with varint column col's
+// body replaced by edit(body) and its length prefix rewritten to match.
+func spliceCol(chunk []byte, col int, edit func(body []byte) []byte) []byte {
+	n, off := binary.Uvarint(chunk)
+	off += 5 * int(n)
+	for c := 0; ; c++ {
+		l, ln := binary.Uvarint(chunk[off:])
+		if c < col {
+			off += ln + int(l)
+			continue
+		}
+		body := edit(bytes.Clone(chunk[off+ln : off+ln+int(l)]))
+		out := binary.AppendUvarint(bytes.Clone(chunk[:off]), uint64(len(body)))
+		out = append(out, body...)
+		return append(out, chunk[off+ln+int(l):]...)
+	}
+}
+
+// TestReaderRejectsMalformedChunks: structurally wrong chunks inside frames
+// whose lengths and CRCs are valid return ErrCorrupt, never a panic — a v3
+// mem column holding more or fewer varints than its HasMem records, a
+// zero-width column in a v2 frame, and a v3 frame cut at every offset.
+func TestReaderRejectsMalformedChunks(t *testing.T) {
+	const memCol, phaseCol = 2, 3
+	v3 := firstPayload(readFixture(t, fixtureV3))
+	v2 := firstPayload(readFixture(t, fixtureV2))
+	cases := []struct {
+		name string
+		file []byte
+	}{
+		{"v3 mem column one varint short", frameFile(fileMagicV3, spliceCol(v3, memCol, func(b []byte) []byte {
+			return b[:len(b)-1] // the fixture's last mem delta is one byte
+		}))},
+		{"v3 mem column one varint long", frameFile(fileMagicV3, spliceCol(v3, memCol, func(b []byte) []byte {
+			return append(b, 0x02)
+		}))},
+		{"v2 zero-width phase column", frameFile(fileMagicV2, spliceCol(v2, phaseCol, func([]byte) []byte { return nil }))},
+	}
+	for cut := 0; cut < len(v3); cut++ {
+		cases = append(cases, struct {
+			name string
+			file []byte
+		}{fmt.Sprintf("v3 frame cut at %d", cut), frameFile(fileMagicV3, v3[:cut])})
+	}
+	for _, tc := range cases {
+		r, err := NewReader(bytes.NewReader(tc.file))
+		if err != nil {
+			t.Fatalf("%s: NewReader: %v", tc.name, err)
+		}
+		if _, err := r.ReadAll(); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", tc.name, err)
+		}
+	}
+	// The unedited frames still read, so the cases above edited real data.
+	for _, file := range [][]byte{frameFile(fileMagicV3, v3), frameFile(fileMagicV2, v2)} {
+		r, _ := NewReader(bytes.NewReader(file))
+		if recs, err := r.ReadAll(); err != nil || len(recs) != fixtureLen {
+			t.Fatalf("unedited frame: %d records, err %v", len(recs), err)
+		}
 	}
 }

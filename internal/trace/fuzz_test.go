@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"os"
 	"reflect"
 	"testing"
 )
@@ -51,10 +52,11 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzChunkDecoder throws arbitrary bytes at the strict chunk decoder; it
-// must return an error or decode cleanly, never panic or read out of range.
-// The whole-chunk and the sub-batch decode must agree on whether the input
-// is an error and, if not, on every record.
+// FuzzChunkDecoder throws arbitrary bytes at the strict chunk decoder, in
+// both the VPTRC03 and the dense VPTRC02 layout; it must return an error or
+// decode cleanly, never panic or read out of range. The whole-chunk and the
+// sub-batch decode must agree on whether the input is an error and, if not,
+// on every record.
 func FuzzChunkDecoder(f *testing.F) {
 	recs := synthStream(0, 64)
 	var enc chunkEncoder
@@ -63,38 +65,55 @@ func FuzzChunkDecoder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Add(encodeRecords(&enc, nil, synthStream(0, 3*batchBlock+5), 0, true))
+	for _, path := range []string{fixtureV3, fixtureV2} {
+		file, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(firstPayload(file))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, withSeq := range []bool{true, false} {
-			out, err := decodeRecords(data, 0, withSeq, true, false)
-			streamed, serr := decodeRecords(data, 0, withSeq, true, true)
-			if (err == nil) != (serr == nil) {
-				t.Fatalf("withSeq=%v: whole-chunk err = %v, sub-batch err = %v", withSeq, err, serr)
-			}
-			if err != nil {
-				continue
-			}
-			if !reflect.DeepEqual(out, streamed) {
-				t.Fatalf("withSeq=%v: sub-batch decode differs from whole-chunk decode", withSeq)
-			}
-			// Whatever decoded must re-encode to a decodable chunk.
-			var e chunkEncoder
-			re := encodeRecords(&e, nil, out, 0, withSeq)
-			if _, err := decodeRecords(re, 0, withSeq, true, false); err != nil {
-				t.Fatalf("withSeq=%v: re-encode of decoded chunk failed: %v", withSeq, err)
+		for _, format := range []Format{FormatV3, FormatV2} {
+			for _, withSeq := range []bool{true, false} {
+				out, err := decodeRecordsAs(format, data, 0, withSeq, true, false)
+				streamed, serr := decodeRecordsAs(format, data, 0, withSeq, true, true)
+				if (err == nil) != (serr == nil) {
+					t.Fatalf("%v withSeq=%v: whole-chunk err = %v, sub-batch err = %v", format, withSeq, err, serr)
+				}
+				if err != nil {
+					continue
+				}
+				if !reflect.DeepEqual(out, streamed) {
+					t.Fatalf("%v withSeq=%v: sub-batch decode differs from whole-chunk decode", format, withSeq)
+				}
+				// Whatever decoded must re-encode to a decodable chunk.
+				var e chunkEncoder
+				re := encodeRecords(&e, nil, out, 0, withSeq)
+				if _, err := decodeRecords(re, 0, withSeq, true, false); err != nil {
+					t.Fatalf("%v withSeq=%v: re-encode of decoded chunk failed: %v", format, withSeq, err)
+				}
 			}
 		}
 	})
 }
 
-// FuzzReaderV2 feeds arbitrary bytes (seeded with real traces) to the v2
-// file reader; it must terminate with io.EOF or an error, never panic, and
-// never hand out more records than a frame can hold.
-func FuzzReaderV2(f *testing.F) {
+// FuzzReader feeds arbitrary bytes (seeded with real VPTRC02 and VPTRC03
+// traces) to the file reader; it must terminate with io.EOF or an error,
+// never panic, and never hand out more records than a frame can hold.
+func FuzzReader(f *testing.F) {
 	recs := synthStream(0, 600)
-	f.Add(encodeV2FuzzSeed(recs))
-	f.Add(encodeV2FuzzSeed(recs[:1]))
+	f.Add(encodeFuzzSeed(recs))
+	f.Add(encodeFuzzSeed(recs[:1]))
 	f.Add([]byte("VPTRC02\n"))
 	f.Add([]byte("VPTRC02\n\x04\x00\x00\x00\x00\x00\x00\x00AAAA"))
+	f.Add([]byte("VPTRC03\n\x04\x00\x00\x00\x00\x00\x00\x00AAAA"))
+	for _, path := range []string{fixtureV2, fixtureV3} {
+		file, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(file)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader(bytes.NewReader(data))
 		if err != nil {
@@ -115,11 +134,14 @@ func FuzzReaderV2(f *testing.F) {
 			if rec.Seq != int64(i) {
 				t.Fatalf("record %d: derived Seq = %d", i, rec.Seq)
 			}
+			if r.Format() == FormatV3 && !rec.HasMem && rec.MemAddr != 0 {
+				t.Fatalf("record %d: MemAddr %d without HasMem", i, rec.MemAddr)
+			}
 		}
 	})
 }
 
-func encodeV2FuzzSeed(recs []Record) []byte {
+func encodeFuzzSeed(recs []Record) []byte {
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf)
 	if err != nil {

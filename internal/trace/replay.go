@@ -235,7 +235,8 @@ func (rc *Recorder) Close() error {
 // Consume implements Consumer by appending a copy of r: the record is
 // destructured straight into the staging columns, so per-record producers
 // (a ColumnSink serving a fan-out, a replay into this recorder) and the VM
-// appending directly share one representation.
+// appending directly share one representation. MemAddr is kept only where
+// HasMem is set; every other record replays with MemAddr 0.
 func (rc *Recorder) Consume(r *Record) {
 	if rc.sealed {
 		panic("trace: Consume on a sealed Recorder (recording after publication)")

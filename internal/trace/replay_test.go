@@ -1,13 +1,15 @@
 package trace
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
 	"repro/internal/isa"
 )
 
-// synthRecord builds a deterministic, fully populated record for index i.
+// synthRecord builds a deterministic, fully populated record for index i,
+// canonical in that MemAddr is set only where HasMem is.
 func synthRecord(i int64) Record {
 	r := Record{
 		Addr:    i % 1000,
@@ -21,7 +23,9 @@ func synthRecord(i int64) Record {
 		Seq:     i,
 		Taken:   i%7 == 0,
 		HasMem:  i%3 == 0,
-		MemAddr: i * 13,
+	}
+	if r.HasMem {
+		r.MemAddr = i * 13
 	}
 	if i%2 == 0 {
 		r.Reads[0] = RegRead{Valid: true, Reg: isa.Reg(i % 32)}
@@ -57,6 +61,41 @@ func TestRecorderRoundTrip(t *testing.T) {
 	for i := range live.recs {
 		if live.recs[i] != replayed.recs[i] {
 			t.Fatalf("record %d differs:\nlive   %+v\nreplay %+v", i, live.recs[i], replayed.recs[i])
+		}
+	}
+}
+
+// TestNonMemoryMemAddrReplaysAsZero: MemAddr is kept only where HasMem is
+// set. A stream that carries addresses on other records too replays them as
+// 0 — from flushed chunks, from the unsealed staging tail, and through a
+// trace file — with every other field unchanged.
+func TestNonMemoryMemAddrReplaysAsZero(t *testing.T) {
+	const n = recorderChunkSize + 100 // one flushed chunk and a staged tail
+	want := synthStream(0, n)
+	recs := append([]Record(nil), want...)
+	for i := range recs {
+		recs[i].MemAddr = int64(i)*7 + 1
+		if recs[i].HasMem {
+			want[i].MemAddr = recs[i].MemAddr
+		}
+	}
+	rc := recordAll(recs)
+	defer rc.Close()
+	var unsealed, sealed capture
+	rc.Replay(&unsealed)
+	rc.Seal()
+	rc.Replay(&sealed)
+	r, err := NewReader(bytes.NewReader(encodeFile(t, recs)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := r.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string][]Record{"unsealed": unsealed.recs, "sealed": sealed.recs, "file": file} {
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s replay differs from the stream with non-memory MemAddr zeroed", name)
 		}
 	}
 }

@@ -41,7 +41,9 @@ type Record struct {
 	Taken bool
 	// HasMem reports whether the instruction accessed data memory; for
 	// those, MemAddr is the accessed word address. The ILP machine uses
-	// store→load pairs as true data dependencies.
+	// store→load pairs as true data dependencies. MemAddr is kept only
+	// where HasMem is set: the VM reports 0 for every other record, and a
+	// recorded or written trace replays any other record with MemAddr 0.
 	HasMem  bool
 	MemAddr int64
 }

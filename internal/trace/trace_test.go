@@ -106,8 +106,8 @@ func TestFileRoundTripQuick(t *testing.T) {
 		if err := r.Next(&got); err != nil {
 			return false
 		}
-		// VPTRC02 does not store Seq; the reader derives it from record
-		// position, so the single record in this stream reads back as Seq 0.
+		// The framed formats do not store Seq; the reader derives it from
+		// record position, so the single record here reads back as Seq 0.
 		want := rec
 		want.Seq = 0
 		return got == want
@@ -146,7 +146,7 @@ func TestFileV1RoundTripArbitrarySeq(t *testing.T) {
 }
 
 // TestFileV2DerivesSeqFromPosition writes records whose Seq fields are
-// garbage and checks the v2 reader reassigns stream positions.
+// garbage and checks the framed-format reader reassigns stream positions.
 func TestFileV2DerivesSeqFromPosition(t *testing.T) {
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf)
@@ -165,8 +165,8 @@ func TestFileV2DerivesSeqFromPosition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Format() != FormatV2 {
-		t.Fatalf("Format = %v, want FormatV2", r.Format())
+	if r.Format() != FormatV3 {
+		t.Fatalf("Format = %v, want FormatV3", r.Format())
 	}
 	got, err := r.ReadAll()
 	if err != nil {
@@ -200,7 +200,7 @@ func TestReaderDetectsTruncation(t *testing.T) {
 	var rec Record
 	err = r.Next(&rec)
 	if err == nil || errors.Is(err, io.EOF) {
-		t.Errorf("truncated v2 frame: err = %v, want non-EOF error", err)
+		t.Errorf("truncated frame: err = %v, want non-EOF error", err)
 	}
 
 	// A v1 file cut inside its last record reads every whole record, then

@@ -264,8 +264,9 @@ func BenchmarkMultiEvalSweep(b *testing.B) {
 // BenchmarkTraceStore measures the columnar trace store against the plain
 // array-of-structs layout it replaced: walk throughput for a resident
 // []trace.Record slice, the resident columnar store and the fully-spilled
-// columnar store, plus serialization cost per record for the VPTRC02 file
-// format. The walk legs report memB/rec (in-memory footprint per record);
+// columnar store, plus serialization cost per record for the trace-file
+// format trace.Writer produces (the leg keeps its disk-v2 name so reports
+// stay comparable). The walk legs report memB/rec (in-memory footprint per record);
 // the disk leg reports diskB/rec. scripts/bench_smoke.sh gates on the
 // columnar walk against the slice walk and on ≥3x memory / ≥2x disk
 // compression against the 56-byte Record and the 40-byte VPTRC01 record.

@@ -68,9 +68,10 @@ END {
 
 # Summarize the trace-storage footprint from the BenchmarkTraceStore metric
 # columns: bytes/record in memory (the 56-byte Record struct vs the columnar
-# encoding) and on disk (the fixed 40-byte VPTRC01 record vs VPTRC02), with
-# the compression ratios bench_smoke.sh gates on. These are deterministic
-# byte counts, not timings, so they are machine-independent.
+# encoding) and on disk (the fixed 40-byte VPTRC01 record vs the format
+# trace.Writer produces), with the compression ratios bench_smoke.sh gates
+# on. These are deterministic byte counts, not timings, so they are
+# machine-independent.
 emit_trace_storage() {
     awk -v aos=56 -v v1=40 '
 /^BenchmarkTraceStore\// {

@@ -6,8 +6,9 @@
 #      the committed BENCH_report.json.
 #   2. Trace-storage compression (machine-independent byte counts, not
 #      timings): the columnar encoding must hold ≥3x fewer in-memory
-#      bytes/record than the 56-byte Record struct, and VPTRC02 must hold
-#      ≥2x fewer on-disk bytes/record than the 40-byte VPTRC01 record.
+#      bytes/record than the 56-byte Record struct, and the format
+#      trace.Writer produces (VPTRC03) must hold ≥2x fewer on-disk
+#      bytes/record than the 40-byte VPTRC01 record.
 #   3. Walkonly columnar replay: the walk-columnar/walk-aos throughput ratio
 #      (walk-aos walks a plain resident []trace.Record slice) must not
 #      regress versus the committed report; on machines with enough CPUs for
