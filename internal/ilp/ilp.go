@@ -6,6 +6,15 @@
 // schedules the dynamic instruction stream on the dataflow graph induced by
 // register dependencies, optionally letting a value-prediction engine supply
 // predicted operands at dispatch.
+//
+// A Machine schedules each batch in two phases: its engine fills an
+// outcome column, then one loop schedules the records. In a MultiEval pass
+// the machines of one lane that share a Config and stream position, with
+// no in-order front end and no branch predictor, run the second phase
+// together (group.go): one loop per two or three machines does the work
+// the records share once and keeps each machine's dependence chain apart.
+// Every other machine, and every Consume and ConsumeBatch call, runs the
+// single-machine loop.
 package ilp
 
 import (
@@ -211,14 +220,26 @@ func (m *Machine) Consume(r *trace.Record) {
 // sit behind loop-invariant checks; their state stays in the machine, off
 // the hot registers, since only the extension experiments set them.
 func (m *Machine) ConsumeBatch(b *trace.Batch) {
+	m.PrepareBatch(b)
+	m.schedule(b)
+}
+
+// PrepareBatch is the first phase of ConsumeBatch: the engine fills the
+// outcome column from b's Dir column. It implements trace.GroupConsumer.
+func (m *Machine) PrepareBatch(b *trace.Batch) {
 	n := b.N
 	if cap(m.outcomes) < n {
 		m.outcomes = make([]vpsim.Outcome, n)
 	}
-	outcomes := m.outcomes[:n]
 	if m.engine != nil {
-		m.engine.ObserveBatch(b, outcomes)
+		m.engine.ObserveBatch(b, m.outcomes[:n])
 	}
+}
+
+// schedule is the second phase of ConsumeBatch for one machine.
+func (m *Machine) schedule(b *trace.Batch) {
+	n := b.N
+	outcomes := m.outcomes[:n]
 	ops, flags, dests, reads := b.Op[:n], b.Flags[:n], b.Dest[:n], b.Reads[:2*n]
 	addrs, mems := b.Addr[:n], b.MemAddr[:n]
 
@@ -252,19 +273,6 @@ func (m *Machine) ConsumeBatch(b *trace.Batch) {
 			mem.set(mems[i], complete)
 		}
 
-		// Value prediction: a used-correct prediction makes the
-		// destination available to consumers at window entry, collapsing
-		// the dependence; a used-incorrect one delays consumers by the
-		// misprediction penalty beyond normal completion (re-execution
-		// of the consumers).
-		destReady := complete
-		o := outcomes[i]
-		if o == vpsim.OutcomeUsedIncorrect {
-			destReady = complete + penalty
-		}
-		if o == vpsim.OutcomeUsedCorrect {
-			destReady = entry
-		}
 		// FP destinations land at 64+dest. Records without a destination
 		// write past the sink and the integer zero register (index 0)
 		// writes the sink itself, so the store needs no branch.
@@ -272,7 +280,7 @@ func (m *Machine) ConsumeBatch(b *trace.Batch) {
 		if w == 0 {
 			w = readySink
 		}
-		ready[w] = destReady
+		ready[w] = destReady(outcomes[i], complete, entry, penalty)
 
 		if bp != nil && isBranch[op] {
 			if correct := bp.Observe(addrs[i], f&trace.FlagTaken != 0); !correct {
@@ -290,6 +298,23 @@ func (m *Machine) ConsumeBatch(b *trace.Batch) {
 	}
 	m.slot, m.lastRetire, m.fetchFloor = slot, lastRetire, fetchFloor
 	m.count += int64(n)
+}
+
+// destReady is when the destination of an instruction that entered the
+// window at entry and completes at complete is available to consumers. With
+// value prediction, a used-correct prediction makes it available at window
+// entry, collapsing the dependence; a used-incorrect one delays consumers by
+// the misprediction penalty beyond normal completion (re-execution of the
+// consumers).
+func destReady(o vpsim.Outcome, complete, entry, penalty int64) int64 {
+	d := complete
+	if o == vpsim.OutcomeUsedIncorrect {
+		d = complete + penalty
+	}
+	if o == vpsim.OutcomeUsedCorrect {
+		d = entry
+	}
+	return d
 }
 
 // memReady is the store-to-load readiness table: a lazily allocated paged

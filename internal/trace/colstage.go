@@ -203,11 +203,12 @@ type ColumnSink struct {
 // and return the pooled stage.
 func NewColumnSink(cs ...Consumer) *ColumnSink {
 	s := &ColumnSink{st: getCols()}
-	s.lane.cfgs = make([]EvalConfig, len(cs))
+	cfgs := make([]EvalConfig, len(cs))
 	for i, c := range cs {
-		s.lane.cfgs[i].Consumer = c
+		cfgs[i].Consumer = c
+		s.lane.add(cfgs[i])
 	}
-	s.recs = newRecordView(s.lane.cfgs)
+	s.recs = newRecordView(cfgs)
 	return s
 }
 

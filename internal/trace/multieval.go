@@ -2,6 +2,7 @@ package trace
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/isa"
@@ -31,6 +32,17 @@ import (
 type EvalConfig struct {
 	Dirs     []isa.Directive
 	Consumer Consumer
+}
+
+// GroupConsumer is a BatchConsumer whose ConsumeBatch is PrepareBatch, the
+// part that reads the Dir column, then a part over the shared columns that a
+// pass runs for a lane's consumers of equal non-nil (comparable) GroupKey
+// in one ConsumeGroup call, each member already prepared with b.
+type GroupConsumer interface {
+	BatchConsumer
+	GroupKey() any
+	PrepareBatch(b *Batch)
+	ConsumeGroup(b *Batch, group []GroupConsumer)
 }
 
 // MultiEval replays the recorded stream once, feeding every record to each
@@ -81,8 +93,7 @@ func (rc *Recorder) evalPass(cfgs []EvalConfig, maxLanes int) {
 		lanes[k] = &evalLane{}
 	}
 	for i, cfg := range cfgs {
-		l := lanes[i%len(lanes)]
-		l.cfgs = append(l.cfgs, cfg)
+		lanes[i%len(lanes)].add(cfg)
 	}
 	view := newRecordView(cfgs)
 	if len(lanes) == 1 {
@@ -162,51 +173,79 @@ func (v *recordView) fill(b *Batch) []Record {
 
 // evalLane is one lane's share of a replay pass and its private scratch.
 type evalLane struct {
-	cfgs []EvalConfig
-	view Batch // the lane's view of the shared batch, with its own Dir column
-	dirs []isa.Directive
-	rec  Record // a shared record with a configuration's directive patched in
+	units []evalUnit
+	view  Batch // the lane's view of the shared batch, with its own Dir column
+	dirs  []isa.Directive
+	rec   Record // a shared record with a configuration's directive patched in
 
 	in      chan *Batch
 	done    chan struct{}
 	failure any // recovered consumer panic
 }
 
+// evalUnit is a configuration or a group (group[j] is cfgs[j].Consumer).
+type evalUnit struct {
+	cfgs  []EvalConfig
+	group []GroupConsumer
+}
+
+// add deals cfg to the lane, into the group of its GroupKey if the lane has
+// one that does not hold it yet.
+func (l *evalLane) add(cfg EvalConfig) {
+	u := evalUnit{cfgs: []EvalConfig{cfg}}
+	if gc, _ := cfg.Consumer.(GroupConsumer); gc != nil && gc.GroupKey() != nil {
+		for i := range l.units {
+			if g := &l.units[i]; g.group != nil && g.group[0].GroupKey() == gc.GroupKey() && !slices.Contains(g.group, gc) {
+				g.cfgs, g.group = append(g.cfgs, cfg), append(g.group, gc)
+				return
+			}
+		}
+		u.group = []GroupConsumer{gc}
+	}
+	l.units = append(l.units, u)
+}
+
 // eval runs one shared batch through the lane's configurations: batch
 // kernels over the columns, per-record consumers record by record over
-// recs, the batch's shared materialized records. A directive-carrying
-// configuration sees the lane's patched Dir column, or a lane-owned copy of
-// each record with its directive patched. The shared batch and records
-// themselves are only read.
+// recs, the batch's shared materialized records, a group's members through
+// PrepareBatch and one ConsumeGroup. A directive-carrying configuration
+// sees the lane's patched Dir column, or a lane-owned copy of each record
+// with its directive patched. The shared batch and records are only read.
 func (l *evalLane) eval(shared *Batch, recs []Record) {
 	b := &l.view
 	*b = *shared
-	for j := range l.cfgs {
-		cfg := &l.cfgs[j]
-		dir := shared.Dir
-		if cfg.Dirs != nil {
-			if cap(l.dirs) < b.N {
-				l.dirs = make([]isa.Directive, b.N)
+	for _, unit := range l.units {
+		for j, cfg := range unit.cfgs {
+			dir := shared.Dir
+			if cfg.Dirs != nil {
+				l.dirs = slices.Grow(l.dirs[:0], b.N)[:b.N]
+				dir = l.dirs
+				patchDirs(dir, b.Addr, cfg.Dirs)
 			}
-			dir = l.dirs[:b.N]
-			patchDirs(dir, b.Addr, cfg.Dirs)
-		}
-		if bc, ok := cfg.Consumer.(BatchConsumer); ok {
 			b.Dir = dir
-			bc.ConsumeBatch(b)
-			continue
-		}
-		c := cfg.Consumer
-		if cfg.Dirs == nil {
-			for i := range recs {
-				c.Consume(&recs[i])
+			if unit.group != nil {
+				unit.group[j].PrepareBatch(b)
+				continue
 			}
-			continue
+			if bc, ok := cfg.Consumer.(BatchConsumer); ok {
+				bc.ConsumeBatch(b)
+				continue
+			}
+			c := cfg.Consumer
+			if cfg.Dirs == nil {
+				for i := range recs {
+					c.Consume(&recs[i])
+				}
+				continue
+			}
+			for i := range recs {
+				l.rec = recs[i]
+				l.rec.Dir = dir[i]
+				c.Consume(&l.rec)
+			}
 		}
-		for i := range recs {
-			l.rec = recs[i]
-			l.rec.Dir = dir[i]
-			c.Consume(&l.rec)
+		if unit.group != nil {
+			unit.group[0].ConsumeGroup(b, unit.group)
 		}
 	}
 }

@@ -167,3 +167,102 @@ func TestPassesCounter(t *testing.T) {
 		t.Errorf("Passes = %d, want 3", got)
 	}
 }
+
+// groupCapture is a GroupConsumer that captures its stream in PrepareBatch
+// and logs the size of every ConsumeGroup call it is a member of.
+type groupCapture struct {
+	batchCapture
+	key    any
+	alone  int   // ConsumeBatch calls
+	groups []int // sizes of the groups it was scheduled in
+	sizes  []int // sizes of the batches it was prepared with
+}
+
+func (c *groupCapture) GroupKey() any { return c.key }
+func (c *groupCapture) PrepareBatch(b *Batch) {
+	c.sizes = append(c.sizes, b.N)
+	c.batchCapture.ConsumeBatch(b)
+}
+func (c *groupCapture) ConsumeBatch(b *Batch) { c.alone++; c.batchCapture.ConsumeBatch(b) }
+func (c *groupCapture) ConsumeGroup(_ *Batch, group []GroupConsumer) {
+	for _, g := range group {
+		g.(*groupCapture).groups = append(g.(*groupCapture).groups, len(group))
+	}
+}
+
+// TestMultiEvalGroups: a pass groups the GroupConsumers of one lane that
+// share a non-nil key — each prepared with its own directive column, then
+// scheduled in one ConsumeGroup call per batch — and runs consumers with a
+// nil key through ConsumeBatch, at 1, 2 and 4 procs. A consumer listed
+// twice in one lane is never grouped with itself.
+func TestMultiEvalGroups(t *testing.T) {
+	rc := NewRecorder()
+	for i := int64(0); i < 2*recorderChunkSize+77; i++ {
+		r := synthRecord(i)
+		rc.Consume(&r)
+	}
+	rc.Seal()
+	dirs := make([]isa.Directive, 500)
+	for i := range dirs {
+		dirs[i] = isa.Directive(i % 3)
+	}
+	keys := []any{"a", "a", nil, "b", "a", "b", nil}
+	var plain, patched capture
+	rc.Replay(&plain)
+	rc.ReplayDirs(dirs, &patched)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		lanes := min(procs, len(keys))
+		cs := make([]*groupCapture, len(keys))
+		cfgs := make([]EvalConfig, len(keys))
+		for j, key := range keys {
+			cs[j] = &groupCapture{key: key}
+			cfgs[j].Consumer = cs[j]
+			if j%2 == 1 {
+				cfgs[j].Dirs = dirs
+			}
+		}
+		if procs == 1 {
+			// The first consumer again, on its own lane: the pass runs
+			// it twice per batch.
+			cfgs = append(cfgs, cfgs[0])
+		}
+		rc.MultiEval(cfgs...)
+		for j, c := range cs {
+			want := plain.recs
+			if j%2 == 1 {
+				want = patched.recs
+			}
+			if j == 0 && procs == 1 {
+				// Each batch twice in a row: once in the group, once alone.
+				want = nil
+				for i, lo := 0, 0; i+1 < len(c.sizes); i += 2 {
+					chunk := plain.recs[lo : lo+c.sizes[i]]
+					want, lo = append(append(want, chunk...), chunk...), lo+c.sizes[i]
+				}
+				if len(want) != 2*len(plain.recs) || c.groups[1] != 1 {
+					t.Fatalf("procs=%d: repeated consumer saw %d records for %d, groups %v",
+						procs, len(want), len(plain.recs), c.groups[:2])
+				}
+			}
+			if !slices.Equal(c.recs, want) {
+				t.Fatalf("procs=%d: consumer %d stream differs from its separate replay", procs, j)
+			}
+			same := 0
+			for i, key := range keys {
+				if key != nil && key == c.key && i%lanes == j%lanes {
+					same++
+				}
+			}
+			switch {
+			case c.key == nil && (c.alone != c.batches || len(c.groups) != 0):
+				t.Errorf("procs=%d: nil-key consumer %d ran %d batches alone of %d, in %d groups",
+					procs, j, c.alone, c.batches, len(c.groups))
+			case c.key != nil && (c.alone != 0 || len(c.groups) != c.batches || c.groups[0] != same):
+				t.Errorf("procs=%d: consumer %d with key %v: %d batches alone, groups %v, want a group of %d per batch",
+					procs, j, c.key, c.alone, c.groups, same)
+			}
+		}
+	}
+}

@@ -188,7 +188,8 @@ func BenchmarkThresholdSweep(b *testing.B) {
 // the five-threshold sweep evaluated as five separate directive-patched
 // replays versus one MultiEval pass feeding all five engines. The walk over
 // the trace dominates the per-engine table update, so the single pass
-// approaches a ×len(thresholds) win.
+// approaches a ×len(thresholds) win. The ilp pair runs the same sweep on
+// ILP machines plus a baseline, where the pass also groups the machines.
 func BenchmarkMultiEvalSweep(b *testing.B) {
 	ctx := experiments.NewContext()
 	bench := "gcc"
@@ -225,6 +226,48 @@ func BenchmarkMultiEvalSweep(b *testing.B) {
 			cfgs := make([]trace.EvalConfig, len(thresholds))
 			for k := range thresholds {
 				cfgs[k] = trace.EvalConfig{Dirs: dirs[k], Consumer: newEngine()}
+			}
+			rec.MultiEval(cfgs...)
+		}
+	})
+
+	// The ilp pair is a vpserve ILP sweep's shape: one profile-engine ILP
+	// machine per threshold plus the no-prediction baseline. Separate
+	// replays schedule every machine alone; the MultiEval pass hands each
+	// lane's machines to the group kernel.
+	newMachines := func() []*ilp.Machine {
+		ms := make([]*ilp.Machine, len(thresholds)+1)
+		for k := range ms {
+			var e *vpsim.Engine
+			if k < len(thresholds) {
+				e = newEngine()
+			}
+			m, err := ilp.New(ilp.DefaultConfig, e)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ms[k] = m
+		}
+		return ms
+	}
+	b.Run("ilp-separate", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ms := newMachines()
+			for k := range thresholds {
+				rec.ReplayDirs(dirs[k], ms[k])
+			}
+			rec.Replay(ms[len(thresholds)])
+		}
+	})
+	b.Run("ilp-multieval", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ms := newMachines()
+			cfgs := make([]trace.EvalConfig, len(ms))
+			for k, m := range ms {
+				cfgs[k].Consumer = m
+				if k < len(thresholds) {
+					cfgs[k].Dirs = dirs[k]
+				}
 			}
 			rec.MultiEval(cfgs...)
 		}

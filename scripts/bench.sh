@@ -7,7 +7,8 @@
 # baseline-vs-optimized ratios), "trace_storage" (columnar compression byte
 # counts), "batch_kernels" (per-record vs batch replay ns/rec + speedup
 # ratios), "recording" (the VM appending into the Recorder's stage vs
-# per-record delivery through Recorder.Consume, ns/op + speedup),
+# per-record delivery through Recorder.Consume and vs bare execution, ns/op
+# + speedup + overhead),
 # "server" (vpserve throughput, requests/sec for cached vs uncached evaluate
 # calls), and "cluster" (vpcoord sharded-sweep throughput at one vs two
 # worker nodes).
@@ -50,7 +51,7 @@ emit_speedups() {
     ns[name] = $3
 }
 END {
-    n = split("BenchmarkThresholdSweep:reexecute:replay BenchmarkMultiEvalSweep:separate:multieval BenchmarkMultiEvalSweep:walkonly-separate:walkonly-multieval BenchmarkTraceStore:walk-aos:walk-columnar BenchmarkTraceStore:walk-spill:walk-columnar BenchmarkAllArtifactsParallel:sequential:parallel", specs, " ")
+    n = split("BenchmarkThresholdSweep:reexecute:replay BenchmarkMultiEvalSweep:separate:multieval BenchmarkMultiEvalSweep:walkonly-separate:walkonly-multieval BenchmarkMultiEvalSweep:ilp-separate:ilp-multieval BenchmarkTraceStore:walk-aos:walk-columnar BenchmarkTraceStore:walk-spill:walk-columnar BenchmarkAllArtifactsParallel:sequential:parallel", specs, " ")
     first = 1
     for (s = 1; s <= n; s++) {
         split(specs[s], f, ":")
@@ -132,12 +133,13 @@ END {
 # Summarize the recording path: the VM's dispatch loop appending straight
 # into the Recorder's stage (BenchmarkVMStepsRecording) against the same
 # loop delivering materialized records to the Recorder through Consume
-# (BenchmarkVMStepsRecordingScalar). Both legs execute the same guest on the
-# same machine, so the ns/op ratio is the machine-independent recording
-# speedup bench_smoke.sh gates on.
+# (BenchmarkVMStepsRecordingScalar), and against bare execution with no
+# consumer (BenchmarkVMSteps). All legs execute the same guest on the same
+# machine, so the ns/op ratios are the machine-independent recording
+# speedup and recording overhead bench_smoke.sh gates on.
 emit_recording() {
     awk '
-/^BenchmarkVMStepsRecording(Scalar)?(-[0-9]+)?[ \t]/ {
+/^BenchmarkVMSteps(Recording(Scalar)?)?(-[0-9]+)?[ \t]/ {
     name = $1
     sub(/-[0-9]+$/, "", name)
     ns[name] = $3
@@ -155,6 +157,11 @@ END {
         printf "    \"minstr_per_s_fused\": %s,\n", minstr["BenchmarkVMStepsRecording"]
     if (minstr["BenchmarkVMStepsRecordingScalar"] != "")
         printf "    \"minstr_per_s_scalar\": %s,\n", minstr["BenchmarkVMStepsRecordingScalar"]
+    steps = ns["BenchmarkVMSteps"]
+    if (steps != "" && steps + 0 > 0) {
+        printf "    \"ns_per_op_execute\": %s,\n", steps
+        printf "    \"recording_overhead\": %.3f,\n", fused / steps
+    }
     printf "    \"recording_speedup\": %.3f\n", scalar / fused
 }
 ' "$1"

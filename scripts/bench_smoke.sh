@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI bench smoke for the replay substrate. Five benchmark runs, seven gates:
+# CI bench smoke for the replay substrate. Five benchmark runs, eight gates:
 #
 #   1. Single-pass sweep: BenchmarkMultiEvalSweep's multieval-vs-separate
 #      walkonly speedup must not regress more than MAX_REGRESSION_PCT versus
@@ -30,6 +30,13 @@
 #      into the Recorder's stage) must stay ≥ MIN_RECORD_SPEEDUP outright
 #      and must not regress more than MAX_REGRESSION_PCT versus the
 #      committed report's recording_speedup.
+#   6b. Recording overhead: the BenchmarkVMStepsRecording-vs-
+#      BenchmarkVMSteps ns/op ratio (the dispatch loop appending into the
+#      Recorder's stage over the same loop with no consumer) must not exceed
+#      the committed report's recording_overhead by more than
+#      MAX_REGRESSION_PCT. Gate 6's scalar leg also pays ColumnSink
+#      materialization, so a recording slowdown can hide under it; this
+#      ratio measures recording against bare execution alone.
 #   7. Experiment-driver allocations: BenchmarkFigure51And52's allocs/op —
 #      a deterministic count, not a timing — must not exceed the committed
 #      report's value by more than MAX_ALLOC_GROWTH_PCT.
@@ -83,8 +90,9 @@ committed_walk=$(committed_speedup walk-aos walk-columnar)
 committed_spill=$(committed_speedup walk-spill walk-columnar)
 committed_batch=$(grep -o '"walkonly_speedup": [0-9.]*' "$REPORT" | head -1 | awk '{print $NF}')
 committed_record=$(grep -o '"recording_speedup": [0-9.]*' "$REPORT" | head -1 | awk '{print $NF}')
+committed_overhead=$(grep -o '"recording_overhead": [0-9.]*' "$REPORT" | head -1 | awk '{print $NF}')
 committed_allocs=$(grep -o '"name": "BenchmarkFigure51And52"[^}]*' "$REPORT" | grep -o '"allocs/op": [0-9]*' | head -1 | awk '{print $NF}')
-if [[ -z "$committed_multi" || -z "$committed_walk" || -z "$committed_spill" || -z "$committed_batch" || -z "$committed_record" || -z "$committed_allocs" ]]; then
+if [[ -z "$committed_multi" || -z "$committed_walk" || -z "$committed_spill" || -z "$committed_batch" || -z "$committed_record" || -z "$committed_overhead" || -z "$committed_allocs" ]]; then
     echo "bench_smoke: missing committed speedups in $REPORT (run scripts/bench.sh)" >&2
     exit 1
 fi
@@ -106,7 +114,7 @@ trap 'rm -f "$RAW_MULTI" "$RAW_STORE" "$RAW_BATCH" "$RAW_REC" "$RAW_ALLOC"' EXIT
 go test -run '^$' -bench '^BenchmarkMultiEvalSweep/walkonly' -benchtime "$BENCHTIME" -count "$BENCHCOUNT" . | tee "$RAW_MULTI"
 go test -run '^$' -bench '^BenchmarkTraceStore$' -benchtime "$BENCHTIME" -count "$BENCHCOUNT" . | tee "$RAW_STORE"
 go test -run '^$' -bench '^BenchmarkBatchKernels/walkonly' -benchtime "$BENCHTIME" -count "$BENCHCOUNT" . | tee "$RAW_BATCH"
-go test -run '^$' -bench '^(BenchmarkVMStepsRecording|BenchmarkVMStepsRecordingScalar)$' -benchtime "$BENCHTIME" -count "$BENCHCOUNT" . | tee "$RAW_REC"
+go test -run '^$' -bench '^(BenchmarkVMSteps|BenchmarkVMStepsRecording|BenchmarkVMStepsRecordingScalar)$' -benchtime "$BENCHTIME" -count "$BENCHCOUNT" . | tee "$RAW_REC"
 go test -run '^$' -bench '^BenchmarkFigure51And52$' -benchmem -benchtime 2x . | tee "$RAW_ALLOC"
 
 # Gate 1: the pass-merging machinery. The walkonly pair isolates it from
@@ -248,6 +256,27 @@ END {
     }
     if (cur < floor) {
         printf "bench_smoke: FAIL — fused recording regressed more than %s%% vs the committed ratio\n", max > "/dev/stderr"
+        exit 1
+    }
+}' "$RAW_REC"
+
+# Gate 6b: recording against bare execution. Both legs run the same
+# dispatch loop on the same guest; the recording leg additionally stages
+# every record into the Recorder's columns and encodes the chunks, so the
+# ratio is what recording costs and must not grow past the committed one.
+awk -v committed="$committed_overhead" -v max="$MAX_REGRESSION_PCT" '
+/^BenchmarkVMSteps(-[0-9]+)?[ \t]/          { if (steps == "" || $3 + 0 < steps + 0) steps = $3 }
+/^BenchmarkVMStepsRecording(-[0-9]+)?[ \t]/ { if (fused == "" || $3 + 0 < fused + 0) fused = $3 }
+END {
+    if (steps == "" || fused == "" || steps + 0 == 0) {
+        print "bench_smoke: BenchmarkVMSteps produced no ns/op numbers" > "/dev/stderr"
+        exit 1
+    }
+    cur = fused / steps
+    ceiling = committed * (1 + max / 100)
+    printf "bench_smoke: recording overhead %.3fx of bare execution (committed %.3fx, ceiling %.3fx)\n", cur, committed, ceiling
+    if (cur > ceiling) {
+        printf "bench_smoke: FAIL — recording overhead grew more than %s%% vs the committed ratio\n", max > "/dev/stderr"
         exit 1
     }
 }' "$RAW_REC"
