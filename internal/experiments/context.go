@@ -9,14 +9,19 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/annotate"
+	"repro/internal/classify"
+	"repro/internal/ilp"
 	"repro/internal/isa"
 	"repro/internal/parallel"
+	"repro/internal/predictor"
 	"repro/internal/profiler"
 	"repro/internal/program"
 	"repro/internal/trace"
+	"repro/internal/vpsim"
 	"repro/internal/workload"
 )
 
@@ -69,6 +74,7 @@ type Context struct {
 	annoCache  map[annoKey]*cell[*annotated]
 	dirsCache  map[annoKey]*cell[[]isa.Directive]
 	traceCache map[string]*cell[*trace.Recorder]
+	passCache  map[string]*cell[*paperPass]
 }
 
 type annoKey struct {
@@ -116,6 +122,7 @@ func NewContext() *Context {
 		annoCache:      make(map[annoKey]*cell[*annotated]),
 		dirsCache:      make(map[annoKey]*cell[[]isa.Directive]),
 		traceCache:     make(map[string]*cell[*trace.Recorder]),
+		passCache:      make(map[string]*cell[*paperPass]),
 	}
 }
 
@@ -256,6 +263,95 @@ func (c *Context) RunEvalAnnotated(bench string, threshold float64, consumer tra
 	}
 	rec.ReplayDirs(dirs, consumer)
 	return nil
+}
+
+// machineRun is one ILP machine of the paper pass: its result (Prediction
+// holds its engine's statistics) and its stride table's evictions.
+type machineRun struct {
+	ilp.Result
+	Evictions int64
+}
+
+// paperPass is one benchmark on the paper's abstract machine (Section 5.3:
+// 40-entry window, perfect branches, 512-entry 2-way stride table): the
+// no-prediction baseline, VP+SC (the FSM engine) and VP+Prof at each
+// threshold of Thresholds.
+type paperPass struct {
+	Base, SC   machineRun
+	Thresholds []float64
+	Prof       []machineRun
+}
+
+// at returns the VP+Prof machine at threshold th, which the pass must cover.
+func (p *paperPass) at(th float64) machineRun { return p.Prof[slices.Index(p.Thresholds, th)] }
+
+// paperPass runs the benchmark's paper-machine sweep once per Context and
+// memoizes it: every machine shares one RunEvalSweep pass, and each engine
+// inside a machine sees exactly the stream a standalone engine would, so
+// Table 5.2, figures 5.3/5.4 and the extensions that compare against the
+// paper machine all read one pass. The thresholds are c.Thresholds plus 90,
+// the threshold ext:branch, ext:sched and ext:hybrid report, when the
+// sweep lacks it.
+func (c *Context) paperPass(bench string) (*paperPass, error) {
+	return memoize(&c.mu, c.passCache, bench, func() (*paperPass, error) {
+		ths := c.Thresholds
+		if !slices.Contains(ths, 90) {
+			ths = append(slices.Clip(ths), 90)
+		}
+		policy, err := classify.NewFSMPolicy(classify.DefaultSatCounter)
+		if err != nil {
+			return nil, err
+		}
+		var tables []*predictor.Table
+		var machines []*ilp.Machine
+		newMachine := func(fsm bool) (*ilp.Machine, error) {
+			table, err := predictor.NewTable(predictor.Stride, predictor.DefaultTableConfig)
+			if err != nil {
+				return nil, err
+			}
+			var engine *vpsim.Engine
+			if fsm {
+				engine = vpsim.NewFSMEngine(table, policy)
+			} else {
+				engine = vpsim.NewProfileEngine(table)
+			}
+			m, err := ilp.New(ilp.DefaultConfig, engine)
+			if err != nil {
+				return nil, err
+			}
+			tables, machines = append(tables, table), append(machines, m)
+			return m, nil
+		}
+		base, err := ilp.New(ilp.DefaultConfig, nil)
+		if err != nil {
+			return nil, err
+		}
+		sc, err := newMachine(true)
+		if err != nil {
+			return nil, err
+		}
+		cfgs := []SweepConfig{Plain(base), Plain(sc)}
+		for _, th := range ths {
+			m, err := newMachine(false)
+			if err != nil {
+				return nil, err
+			}
+			cfgs = append(cfgs, Sweep(th, m))
+		}
+		if _, err := c.RunEvalSweep(bench, cfgs...); err != nil {
+			return nil, err
+		}
+		p := &paperPass{Base: machineRun{Result: base.Result()}, Thresholds: ths}
+		for k, m := range machines {
+			run := machineRun{m.Result(), tables[k].Evictions}
+			if k == 0 {
+				p.SC = run
+			} else {
+				p.Prof = append(p.Prof, run)
+			}
+		}
+		return p, nil
+	})
 }
 
 // forEachBench runs f once per benchmark on the Context's bounded worker

@@ -29,13 +29,18 @@ func TestContextConcurrentStress(t *testing.T) {
 		readers = 8
 		rounds  = 3
 	)
+	// The extensions that read VP+Prof(90%) from the memoized paper pass
+	// and run machines of their own on the shared trace; each goroutine's
+	// render of a driver must equal every other's.
+	drivers := []func(*Context) (Result, error){wrap(RunExtBranch), wrap(RunExtSched), wrap(RunExtHybrid)}
+	var renders sync.Map
 	var wg sync.WaitGroup
 	for g := 0; g < readers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				switch (g + r) % 4 {
+				switch (g + r) % 5 {
 				case 0:
 					// Plain replay into a fresh prediction engine.
 					pol, err := classify.NewFSMPolicy(classify.DefaultSatCounter)
@@ -72,6 +77,16 @@ func TestContextConcurrentStress(t *testing.T) {
 					if col.NumInstructions() == 0 {
 						t.Error("evaluation collector empty")
 						return
+					}
+				case 3:
+					d := g % len(drivers)
+					res, err := drivers[d](c)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if prev, loaded := renders.LoadOrStore(d, res.Render()); loaded && prev != res.Render() {
+						t.Errorf("%s: concurrent renders differ", res.ID())
 					}
 				default:
 					// Training profiles + merged image.

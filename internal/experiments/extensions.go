@@ -130,26 +130,15 @@ func RunExtBranch(c *Context) (*ExtBranch, error) {
 	benches := workload.Names()
 	out.Rows = make([]ExtBranchRow, len(benches))
 	err := c.forEachBench(benches, func(i int, bench string) error {
-		row := ExtBranchRow{Bench: bench}
-
-		// Perfect branches (the paper's model).
-		perfBase, err := ilp.New(ilp.DefaultConfig, nil)
+		// Perfect branches: the paper pass's baseline and VP+Prof(90%).
+		p, err := c.paperPass(bench)
 		if err != nil {
 			return err
 		}
-		if err := c.RunEvalPlain(bench, perfBase); err != nil {
-			return err
-		}
-		perfVP, err := newProfileMachine(nil, 0)
-		if err != nil {
-			return err
-		}
-		if err := c.RunEvalAnnotated(bench, 90, perfVP); err != nil {
-			return err
-		}
-		row.PerfectGain = perfVP.Result().SpeedupOver(perfBase.Result())
+		row := ExtBranchRow{Bench: bench, PerfectGain: p.at(90).SpeedupOver(p.Base.Result)}
 
-		// Bimodal branches on both the baseline and the VP machine.
+		// Bimodal branches on both the baseline and the VP machine, in
+		// one pass.
 		bpBase, err := branch.New(branch.DefaultConfig)
 		if err != nil {
 			return err
@@ -161,18 +150,15 @@ func RunExtBranch(c *Context) (*ExtBranch, error) {
 		if err := realBase.UseBranchPredictor(bpBase, redirectPenalty); err != nil {
 			return err
 		}
-		if err := c.RunEvalPlain(bench, realBase); err != nil {
-			return err
-		}
 		bpVP, err := branch.New(branch.DefaultConfig)
 		if err != nil {
 			return err
 		}
-		realVP, err := newProfileMachine(bpVP, redirectPenalty)
+		realVP, err := newProfileMachine(ilp.DefaultConfig, bpVP, redirectPenalty)
 		if err != nil {
 			return err
 		}
-		if err := c.RunEvalAnnotated(bench, 90, realVP); err != nil {
+		if _, err := c.RunEvalSweep(bench, Plain(realBase), Sweep(90, realVP)); err != nil {
 			return err
 		}
 		row.BimodalGain = realVP.Result().SpeedupOver(realBase.Result())
@@ -186,12 +172,14 @@ func RunExtBranch(c *Context) (*ExtBranch, error) {
 	return out, nil
 }
 
-func newProfileMachine(bp *branch.Predictor, penalty int64) (*ilp.Machine, error) {
+// newProfileMachine is a VP+Prof machine of configuration cfg on the
+// paper's 512-entry stride table, with an optional branch predictor.
+func newProfileMachine(cfg ilp.Config, bp *branch.Predictor, penalty int64) (*ilp.Machine, error) {
 	table, err := predictor.NewTable(predictor.Stride, predictor.DefaultTableConfig)
 	if err != nil {
 		return nil, err
 	}
-	m, err := ilp.New(ilp.DefaultConfig, vpsim.NewProfileEngine(table))
+	m, err := ilp.New(cfg, vpsim.NewProfileEngine(table))
 	if err != nil {
 		return nil, err
 	}

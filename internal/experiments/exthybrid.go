@@ -9,6 +9,7 @@ import (
 	"repro/internal/profiler"
 	"repro/internal/program"
 	"repro/internal/stats"
+	"repro/internal/trace"
 	"repro/internal/vpsim"
 	"repro/internal/workload"
 )
@@ -48,18 +49,13 @@ func RunExtHybrid(c *Context) (*ExtHybrid, error) {
 	benches := workload.Names()
 	out.Rows = make([]ExtHybridRow, len(benches))
 	err := c.forEachBench(benches, func(i int, bench string) error {
-		row := ExtHybridRow{Bench: bench}
-
-		mono, err := predictor.NewTable(predictor.Stride, predictor.DefaultTableConfig)
+		// The monolithic table is the paper pass's VP+Prof(90%) engine.
+		p, err := c.paperPass(bench)
 		if err != nil {
 			return err
 		}
-		monoEngine := vpsim.NewProfileEngine(mono)
-		if err := c.RunEvalAnnotated(bench, 90, monoEngine); err != nil {
-			return err
-		}
-		row.MonoCorrect = monoEngine.Stats().UsedCorrect
-		row.MonoAccuracy = monoEngine.Stats().PredictionAccuracy()
+		mono := p.at(90).Prediction
+		row := ExtHybridRow{Bench: bench, MonoCorrect: mono.UsedCorrect, MonoAccuracy: mono.PredictionAccuracy()}
 
 		hy, err := predictor.NewHybrid(predictor.DefaultHybridConfig)
 		if err != nil {
@@ -140,7 +136,19 @@ func RunExtAutotune(c *Context) (*ExtAutotune, error) {
 
 		// Tuning pass: measure ILP gain per threshold on a training
 		// input (annotation also derives from training profiles only).
+		// The training program runs once; the baseline and every
+		// threshold machine replay its trace in one pass, each threshold
+		// under its annotation's directives.
 		trainProg, err := workload.Build(bench, trainInput)
+		if err != nil {
+			return err
+		}
+		rec := trace.NewRecorder()
+		if _, err := workload.Run(trainProg, rec); err != nil {
+			return err
+		}
+		rec.Seal()
+		im, err := c.MergedTrainImage(bench)
 		if err != nil {
 			return err
 		}
@@ -148,52 +156,35 @@ func RunExtAutotune(c *Context) (*ExtAutotune, error) {
 		if err != nil {
 			return err
 		}
-		if _, err := workload.Run(trainProg, baseTrain); err != nil {
-			return err
-		}
-		bestGain := -1e18
-		for _, th := range c.Thresholds {
-			im, err := c.MergedTrainImage(bench)
-			if err != nil {
-				return err
-			}
+		cfgs := []trace.EvalConfig{{Consumer: baseTrain}}
+		train := make([]*ilp.Machine, len(c.Thresholds))
+		for k, th := range c.Thresholds {
 			annotated, err := annotateProgram(trainProg, im, th)
 			if err != nil {
 				return err
 			}
-			m, err := newProfileMachine(nil, 0)
-			if err != nil {
+			if train[k], err = newProfileMachine(ilp.DefaultConfig, nil, 0); err != nil {
 				return err
 			}
-			if _, err := workload.Run(annotated, m); err != nil {
-				return err
-			}
-			if gain := m.Result().SpeedupOver(baseTrain.Result()); gain > bestGain {
-				bestGain, row.Chosen = gain, th
+			cfgs = append(cfgs, trace.EvalConfig{Dirs: trace.DirsOf(annotated.Text), Consumer: train[k]})
+		}
+		rec.MultiEval(cfgs...)
+		row.TrainGain = -1e18
+		for k, th := range c.Thresholds {
+			if gain := train[k].Result().SpeedupOver(baseTrain.Result()); gain > row.TrainGain {
+				row.TrainGain, row.Chosen = gain, th
 			}
 		}
-		row.TrainGain = bestGain
 
-		// Evaluation pass: the chosen threshold vs the hindsight oracle.
-		// The baseline and every threshold machine share one trace pass.
-		baseEval, err := ilp.New(ilp.DefaultConfig, nil)
+		// Evaluation: the chosen threshold vs the hindsight oracle, read
+		// from the paper pass.
+		p, err := c.paperPass(bench)
 		if err != nil {
 			return err
 		}
-		cfgs := []SweepConfig{Plain(baseEval)}
-		machines := make([]*ilp.Machine, len(c.Thresholds))
-		for k, th := range c.Thresholds {
-			if machines[k], err = newProfileMachine(nil, 0); err != nil {
-				return err
-			}
-			cfgs = append(cfgs, Sweep(th, machines[k]))
-		}
-		if _, err := c.RunEvalSweep(bench, cfgs...); err != nil {
-			return err
-		}
 		row.BestEvalGain = -1e18
-		for k, th := range c.Thresholds {
-			gain := machines[k].Result().SpeedupOver(baseEval.Result())
+		for _, th := range c.Thresholds {
+			gain := p.at(th).SpeedupOver(p.Base.Result)
 			if th == row.Chosen {
 				row.EvalGain = gain
 			}

@@ -4,11 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/ilp"
-	"repro/internal/predictor"
-	"repro/internal/program"
 	"repro/internal/sched"
 	"repro/internal/stats"
-	"repro/internal/vpsim"
 	"repro/internal/workload"
 )
 
@@ -66,26 +63,19 @@ func (r ExtSchedRow) Delta() float64 {
 // in-order issue with 2-cycle operation latency, a plausible 1997 pipeline.
 var inorderCfg = ilp.Config{WindowSize: 40, MispredictPenalty: 1, Latency: 2, IssueWidth: 2}
 
-// RunExtSched regenerates the scheduling extension table.
+// RunExtSched regenerates the scheduling extension table. The unscheduled
+// dataflow ILP is the paper pass's VP+Prof(90%) machine; the annotated
+// program's in-order machine replays its stream, and the scheduled program
+// runs once with both machines attached.
 func RunExtSched(c *Context) (*ExtSched, error) {
 	out := &ExtSched{}
 	benches := workload.Names()
 	out.Rows = make([]ExtSchedRow, len(benches))
-	measure := func(cfg ilp.Config, p *program.Program) (float64, error) {
-		table, err := predictor.NewTable(predictor.Stride, predictor.DefaultTableConfig)
-		if err != nil {
-			return 0, err
-		}
-		m, err := ilp.New(cfg, vpsim.NewProfileEngine(table))
-		if err != nil {
-			return 0, err
-		}
-		if _, err := workload.Run(p, m); err != nil {
-			return 0, err
-		}
-		return m.Result().ILP(), nil
-	}
 	err := c.forEachBench(benches, func(i int, bench string) error {
+		p, err := c.paperPass(bench)
+		if err != nil {
+			return err
+		}
 		annotated, _, err := c.Annotated(bench, 90)
 		if err != nil {
 			return err
@@ -94,20 +84,21 @@ func RunExtSched(c *Context) (*ExtSched, error) {
 		if err != nil {
 			return err
 		}
-		row := ExtSchedRow{Bench: bench, Moved: sst.Moved}
-		if row.BaseILP, err = measure(ilp.DefaultConfig, annotated); err != nil {
+		var ms [3]*ilp.Machine // in-order unscheduled, dataflow scheduled, in-order scheduled
+		for k, cfg := range []ilp.Config{inorderCfg, ilp.DefaultConfig, inorderCfg} {
+			if ms[k], err = newProfileMachine(cfg, nil, 0); err != nil {
+				return err
+			}
+		}
+		if err := c.RunEvalAnnotated(bench, 90, ms[0]); err != nil {
 			return err
 		}
-		if row.SchedILP, err = measure(ilp.DefaultConfig, scheduled); err != nil {
+		if _, err := workload.Run(scheduled, ms[1], ms[2]); err != nil {
 			return err
 		}
-		if row.InorderBase, err = measure(inorderCfg, annotated); err != nil {
-			return err
-		}
-		if row.InorderSched, err = measure(inorderCfg, scheduled); err != nil {
-			return err
-		}
-		out.Rows[i] = row
+		out.Rows[i] = ExtSchedRow{Bench: bench, Moved: sst.Moved,
+			BaseILP: p.at(90).ILP(), SchedILP: ms[1].Result().ILP(),
+			InorderBase: ms[0].Result().ILP(), InorderSched: ms[2].Result().ILP()}
 		return nil
 	})
 	if err != nil {

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/classify"
 	"repro/internal/predictor"
 	"repro/internal/stats"
-	"repro/internal/vpsim"
 	"repro/internal/workload"
 )
 
@@ -40,49 +38,24 @@ type FiniteTableRow struct {
 }
 
 // RunFiniteTable regenerates figures 5.3/5.4 with the paper's 512-entry
-// 2-way stride table.
+// 2-way stride table, reading the engines of the memoized paper pass.
 func RunFiniteTable(c *Context) (*FiniteTable, error) {
-	cfg := predictor.DefaultTableConfig
-	out := &FiniteTable{Thresholds: c.Thresholds, Table: cfg}
+	out := &FiniteTable{Thresholds: c.Thresholds, Table: predictor.DefaultTableConfig}
 	benches := workload.Names()
 	out.Rows = make([]FiniteTableRow, len(benches))
 	err := c.forEachBench(benches, func(i int, bench string) error {
-		row := FiniteTableRow{Bench: bench}
-
-		// FSM baseline plus every threshold configuration in one pass over
-		// the recorded trace; every configuration owns its own finite table.
-		fsmPolicy, err := classify.NewFSMPolicy(classify.DefaultSatCounter)
+		p, err := c.paperPass(bench)
 		if err != nil {
 			return err
 		}
-		table, err := predictor.NewTable(predictor.Stride, cfg)
-		if err != nil {
-			return err
-		}
-		fsm := vpsim.NewFSMEngine(table, fsmPolicy)
-		cfgs := []SweepConfig{Plain(fsm)}
-		ptables := make([]*predictor.Table, len(c.Thresholds))
-		profs := make([]*vpsim.Engine, len(c.Thresholds))
-		for k := range c.Thresholds {
-			ptables[k], err = predictor.NewTable(predictor.Stride, cfg)
-			if err != nil {
-				return err
-			}
-			profs[k] = vpsim.NewProfileEngine(ptables[k])
-			cfgs = append(cfgs, Sweep(c.Thresholds[k], profs[k]))
-		}
-		if _, err := c.RunEvalSweep(bench, cfgs...); err != nil {
-			return err
-		}
-		row.FSMCorrect = fsm.Stats().UsedCorrect
-		row.FSMIncorrect = fsm.Stats().UsedIncorrect
-		row.FSMEvictions = table.Evictions
-		for k := range c.Thresholds {
-			row.DeltaCorrect = append(row.DeltaCorrect,
-				deltaPct(profs[k].Stats().UsedCorrect, row.FSMCorrect))
-			row.DeltaIncorrect = append(row.DeltaIncorrect,
-				deltaPct(profs[k].Stats().UsedIncorrect, row.FSMIncorrect))
-			row.ProfEvictions = append(row.ProfEvictions, ptables[k].Evictions)
+		fsm := p.SC.Prediction
+		row := FiniteTableRow{Bench: bench, FSMCorrect: fsm.UsedCorrect, FSMIncorrect: fsm.UsedIncorrect,
+			FSMEvictions: p.SC.Evictions}
+		for _, th := range c.Thresholds {
+			prof := p.at(th)
+			row.DeltaCorrect = append(row.DeltaCorrect, deltaPct(prof.Prediction.UsedCorrect, row.FSMCorrect))
+			row.DeltaIncorrect = append(row.DeltaIncorrect, deltaPct(prof.Prediction.UsedIncorrect, row.FSMIncorrect))
+			row.ProfEvictions = append(row.ProfEvictions, prof.Evictions)
 		}
 		out.Rows[i] = row
 		return nil

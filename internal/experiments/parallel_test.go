@@ -21,22 +21,36 @@ func diffContext(workers int) *Context {
 	return c
 }
 
-// TestSweepDriversSinglePass asserts the tentpole invariant directly: a
-// threshold-sweep driver replays each benchmark's recorded trace EXACTLY
-// once, no matter how many configurations it evaluates.
+// TestSweepDriversSinglePass asserts the tentpole invariant directly: the
+// drivers that read the paper machine replay each benchmark's recorded
+// trace for it EXACTLY once between them, no matter how many
+// configurations they evaluate. The extensions that add machines of their
+// own then pay one replay each: ext:branch's bimodal sweep, ext:sched's
+// in-order machine and ext:hybrid's hybrid engine.
 func TestSweepDriversSinglePass(t *testing.T) {
 	c := diffContext(1)
-	if _, err := RunFiniteTable(c); err != nil {
-		t.Fatal(err)
-	}
-	for _, bench := range workload.Names() {
-		rec, err := c.EvalTrace(bench)
+	for _, step := range []struct {
+		id     string
+		passes int64
+	}{
+		{"table5.2", 1}, {"fig5.3+5.4", 1}, {"ext:autotune", 1},
+		{"ext:branch", 2}, {"ext:sched", 3}, {"ext:hybrid", 4},
+	} {
+		r, err := ByID(step.id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := rec.Passes(); got != 1 {
-			t.Errorf("%s: %d trace passes for %d configurations, want exactly 1",
-				bench, got, 1+len(c.Thresholds))
+		if _, err := r.Run(c); err != nil {
+			t.Fatal(err)
+		}
+		for _, bench := range workload.Names() {
+			rec, err := c.EvalTrace(bench)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rec.Passes(); got != step.passes {
+				t.Errorf("after %s, %s: %d trace passes, want %d", step.id, bench, got, step.passes)
+			}
 		}
 	}
 }

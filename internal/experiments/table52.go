@@ -4,11 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/classify"
-	"repro/internal/ilp"
-	"repro/internal/predictor"
 	"repro/internal/stats"
-	"repro/internal/vpsim"
 	"repro/internal/workload"
 )
 
@@ -32,57 +28,21 @@ type Table52Row struct {
 	ProfILP []float64
 }
 
-// RunTable52 regenerates Table 5.2.
+// RunTable52 regenerates Table 5.2 from the memoized paper pass.
 func RunTable52(c *Context) (*Table52, error) {
 	out := &Table52{Thresholds: c.Thresholds}
-	cfg := predictor.DefaultTableConfig
 	benches := workload.Names()
 	out.Rows = make([]Table52Row, len(benches))
 	err := c.forEachBench(benches, func(i int, bench string) error {
-		row := Table52Row{Bench: bench}
-
-		// The no-prediction baseline, the VP+SC machine, and one VP+Prof
-		// machine per threshold all consume a single pass over the recorded
-		// trace; each ILP machine schedules independently.
-		base, err := ilp.New(ilp.DefaultConfig, nil)
+		p, err := c.paperPass(bench)
 		if err != nil {
 			return err
 		}
-		fsmPolicy, err := classify.NewFSMPolicy(classify.DefaultSatCounter)
-		if err != nil {
-			return err
-		}
-		table, err := predictor.NewTable(predictor.Stride, cfg)
-		if err != nil {
-			return err
-		}
-		sc, err := ilp.New(ilp.DefaultConfig, vpsim.NewFSMEngine(table, fsmPolicy))
-		if err != nil {
-			return err
-		}
-		cfgs := []SweepConfig{Plain(base), Plain(sc)}
-		pms := make([]*ilp.Machine, len(c.Thresholds))
-		for k, th := range c.Thresholds {
-			ptable, err := predictor.NewTable(predictor.Stride, cfg)
-			if err != nil {
-				return err
-			}
-			pms[k], err = ilp.New(ilp.DefaultConfig, vpsim.NewProfileEngine(ptable))
-			if err != nil {
-				return err
-			}
-			cfgs = append(cfgs, Sweep(th, pms[k]))
-		}
-		if _, err := c.RunEvalSweep(bench, cfgs...); err != nil {
-			return err
-		}
-		baseRes := base.Result()
-		row.BaseILP = baseRes.ILP()
-		row.SCILP = sc.Result().ILP()
-		row.SC = sc.Result().SpeedupOver(baseRes)
-		for k := range c.Thresholds {
-			row.ProfILP = append(row.ProfILP, pms[k].Result().ILP())
-			row.Prof = append(row.Prof, pms[k].Result().SpeedupOver(baseRes))
+		row := Table52Row{Bench: bench, BaseILP: p.Base.ILP(), SCILP: p.SC.ILP(), SC: p.SC.SpeedupOver(p.Base.Result)}
+		for _, th := range c.Thresholds {
+			prof := p.at(th)
+			row.ProfILP = append(row.ProfILP, prof.ILP())
+			row.Prof = append(row.Prof, prof.SpeedupOver(p.Base.Result))
 		}
 		out.Rows[i] = row
 		return nil

@@ -62,6 +62,12 @@ func BenchmarkVMStepsRecording(b *testing.B) {
 			b.Fatal(err)
 		}
 		total += n
+		// Seal outside the timed region: it stops the recorder's
+		// encode-ahead goroutine, which otherwise keeps every iteration's
+		// recorder alive for the life of the process.
+		b.StopTimer()
+		rec.Seal()
+		b.StartTimer()
 	}
 	b.StopTimer()
 	reportMIPS(b, total)
@@ -89,6 +95,9 @@ func BenchmarkVMStepsRecordingScalar(b *testing.B) {
 			b.Fatal(err)
 		}
 		total += n
+		b.StopTimer()
+		rec.Seal() // as in BenchmarkVMStepsRecording
+		b.StartTimer()
 	}
 	b.StopTimer()
 	reportMIPS(b, total)
@@ -497,21 +506,25 @@ func (w *countWriter) Write(p []byte) (int, error) {
 // a cold cache, sequentially versus on the fan-out scheduler. The parallel
 // leg's win tracks the core count (it is ~1× on a single-CPU machine); the
 // rendered artifacts are bit-identical either way (see
-// experiments.TestRegistryMatchesCommittedResults).
+// experiments.TestRegistryMatchesCommittedResults). The with-extensions leg
+// adds the extension registry at the default width: the 17 artifacts
+// `vpreport -extensions` regenerates.
 func BenchmarkAllArtifactsParallel(b *testing.B) {
-	run := func(b *testing.B, workers int) {
+	run := func(b *testing.B, workers int, runners []experiments.Runner) {
 		for i := 0; i < b.N; i++ {
 			ctx := experiments.NewContext()
 			ctx.Workers = workers
-			for _, o := range experiments.RunAll(ctx, experiments.Registry, workers) {
+			for _, o := range experiments.RunAll(ctx, runners, workers) {
 				if o.Err != nil {
 					b.Fatal(o.Err)
 				}
 			}
 		}
 	}
-	b.Run("sequential", func(b *testing.B) { run(b, 1) })
-	b.Run("parallel", func(b *testing.B) { run(b, parallel.DefaultLimit()) })
+	all := append(append([]experiments.Runner{}, experiments.Registry...), experiments.ExtRegistry...)
+	b.Run("sequential", func(b *testing.B) { run(b, 1, experiments.Registry) })
+	b.Run("parallel", func(b *testing.B) { run(b, parallel.DefaultLimit(), experiments.Registry) })
+	b.Run("with-extensions", func(b *testing.B) { run(b, parallel.DefaultLimit(), all) })
 }
 
 func reportMIPS(b *testing.B, totalInstructions int64) {

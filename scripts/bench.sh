@@ -1,9 +1,14 @@
 #!/usr/bin/env bash
 # Runs the key simulation-throughput benchmarks with -benchmem and emits a
 # machine-readable BENCH_report.json so the perf trajectory can be tracked
-# across PRs. The report sections: "machine" (the hardware/Go view the
-# timings came from; the smoke gates read num_cpu from here), "benchmarks"
-# (simulation substrate + experiment drivers), "speedups" (paired
+# across PRs. Every benchmark runs BENCHCOUNT times and the report keeps
+# each leg's fastest count (least ns/op), the same minimum-of-counts
+# estimator scripts/bench_smoke.sh gates on. The report sections: "machine"
+# (the hardware/Go view the timings came from; the smoke gates read num_cpu
+# from here), "benchmarks" (simulation substrate + experiment drivers; the
+# BenchmarkAllArtifactsParallel legs time the paper registry sequentially
+# and in parallel, and with-extensions times all 17 artifacts that
+# `vpreport -extensions` regenerates), "speedups" (paired
 # baseline-vs-optimized ratios), "trace_storage" (columnar compression byte
 # counts), "batch_kernels" (per-record vs batch replay ns/rec + speedup
 # ratios), "recording" (the VM appending into the Recorder's stage vs
@@ -18,6 +23,8 @@
 #
 # Environment:
 #   BENCHTIME          go test -benchtime value (default 1s)
+#   BENCHCOUNT         go test -count value (default 5); the report keeps
+#                      each leg's fastest count
 #   BENCHMARKS         simulation benchmark regex (default: substrate + drivers)
 #   SERVER_BENCHMARKS  server benchmark regex (default: the vpserve set)
 #   CLUSTER_BENCHMARKS cluster benchmark regex (default: the sharded sweep)
@@ -27,6 +34,7 @@ cd "$(dirname "$0")/.."
 
 OUT="${1:-BENCH_report.json}"
 BENCHTIME="${BENCHTIME:-1s}"
+BENCHCOUNT="${BENCHCOUNT:-5}"
 BENCHMARKS="${BENCHMARKS:-^(BenchmarkVMSteps|BenchmarkVMStepsRecording|BenchmarkVMStepsRecordingScalar|BenchmarkReplayVsReexecute|BenchmarkThresholdSweep|BenchmarkMultiEvalSweep|BenchmarkTraceStore|BenchmarkBatchKernels|BenchmarkAllArtifactsParallel|BenchmarkVMExecution|BenchmarkFigure51And52|BenchmarkTable51|BenchmarkFigure53And54|BenchmarkTable52)\$}"
 SERVER_BENCHMARKS="${SERVER_BENCHMARKS:-^(BenchmarkServerEvaluateCached|BenchmarkServerEvaluateCachedParallel|BenchmarkServerEvaluateUncached)\$}"
 CLUSTER_BENCHMARKS="${CLUSTER_BENCHMARKS:-^BenchmarkClusterSweep\$}"
@@ -36,9 +44,28 @@ RAW_SRV="$(mktemp)"
 RAW_CLU="$(mktemp)"
 trap 'rm -f "$RAW_SIM" "$RAW_SRV" "$RAW_CLU"' EXIT
 
-go test -run '^$' -bench "$BENCHMARKS" -benchmem -benchtime "$BENCHTIME" . | tee "$RAW_SIM"
-go test -run '^$' -bench "$SERVER_BENCHMARKS" -benchmem -benchtime "$BENCHTIME" ./internal/server | tee "$RAW_SRV"
-go test -run '^$' -bench "$CLUSTER_BENCHMARKS" -benchmem -benchtime "$BENCHTIME" ./internal/cluster | tee "$RAW_CLU"
+# min_legs rewrites a raw `go test -bench` output file to one line per
+# benchmark leg, the line of its fastest count (least ns/op), in first-seen
+# order; every section below reads the reduced file.
+min_legs() {
+    awk '
+/^Benchmark/ {
+    name = $1
+    sub(/-[0-9]+$/, "", name)
+    if (!(name in best)) order[++n] = name
+    if (!(name in best) || $3 + 0 < ns[name] + 0) { best[name] = $0; ns[name] = $3 }
+}
+END { for (i = 1; i <= n; i++) print best[order[i]] }
+' "$1" > "$1.min"
+    mv "$1.min" "$1"
+}
+
+go test -run '^$' -bench "$BENCHMARKS" -benchmem -benchtime "$BENCHTIME" -count "$BENCHCOUNT" . | tee "$RAW_SIM"
+go test -run '^$' -bench "$SERVER_BENCHMARKS" -benchmem -benchtime "$BENCHTIME" -count "$BENCHCOUNT" ./internal/server | tee "$RAW_SRV"
+go test -run '^$' -bench "$CLUSTER_BENCHMARKS" -benchmem -benchtime "$BENCHTIME" -count "$BENCHCOUNT" ./internal/cluster | tee "$RAW_CLU"
+for raw in "$RAW_SIM" "$RAW_SRV" "$RAW_CLU"; do
+    min_legs "$raw"
+done
 
 # Derive baseline-vs-optimized speedups from paired sub-benchmarks
 # (sequential/parallel legs of the same benchmark share one trace and one
