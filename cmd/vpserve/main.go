@@ -1,6 +1,6 @@
 // Command vpserve runs the profiling-as-a-service daemon: a JSON HTTP API
 // over the profile → classify → annotate → evaluate pipeline, with a bounded
-// job queue, a worker pool, and fingerprint-keyed result/trace caches
+// job queue, a worker pool, and fingerprint-keyed result, profile and annotation caches
 // (DESIGN.md §8).
 //
 // Usage:
@@ -45,15 +45,13 @@ var version = "dev"
 
 func main() {
 	var (
-		addr     = flag.String("addr", ":8080", "listen address")
-		workers  = flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
-		queue    = flag.Int("queue", 64, "job-queue depth")
-		timeout  = flag.Duration("timeout", 60*time.Second, "per-request timeout (queue wait included)")
-		drain    = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline")
-		train    = flag.Int("train", 0, "training inputs for profile-classified benchmark runs (0 = paper's n=5)")
-		results  = flag.Int("result-cache", 1024, "result-cache entries")
-		traces   = flag.Int("trace-cache", 32, "trace-cache entries (each can hold a full benchmark trace)")
-		traceMem = flag.Int64("trace-mem-budget", 0, "resident bytes budget per recorded trace before chunks spill to disk (0 = unlimited)")
+		addr    = flag.String("addr", ":8080", "listen address")
+		workers = flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS)")
+		queue   = flag.Int("queue", 64, "job-queue depth")
+		timeout = flag.Duration("timeout", 60*time.Second, "per-request timeout (queue wait included)")
+		drain   = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline")
+		train   = flag.Int("train", 0, "training inputs for profile-classified benchmark runs (0 = paper's n=5)")
+		results = flag.Int("result-cache", 1024, "result-cache entries")
 
 		stateDir   = flag.String("state-dir", "", "enable the durability layer: persist caches and the job journal under this directory (empty = in-memory only)")
 		journal    = flag.String("journal", "", "job-journal path (default <state-dir>/jobs.journal; requires -state-dir)")
@@ -107,8 +105,6 @@ func main() {
 		RequestTimeout:  *timeout,
 		TrainInputs:     *train,
 		ResultCache:     *results,
-		TraceCache:      *traces,
-		TraceMemBudget:  *traceMem,
 		StateDir:        *stateDir,
 		JournalPath:     *journal,
 		SweepCheckpoint: *checkpoint,

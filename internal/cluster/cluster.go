@@ -7,7 +7,8 @@
 //     moment their SIGTERM drain begins; missed heartbeats expire a node.
 //   - consistent-hash routing keyed by the program fingerprint (or the
 //     benchmark/input cache key), so repeat jobs land on the node that
-//     already holds the recorded trace and profile image — cache affinity.
+//     already holds the result, annotations and profile image — cache
+//     affinity.
 //   - scatter-gather sweeps: an EvaluateRequest.Thresholds sweep is split
 //     into contiguous shards, one per live node, evaluated in parallel, and
 //     the partial report.Runs are merged deterministically — the merged

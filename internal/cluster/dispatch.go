@@ -22,8 +22,8 @@ import (
 // routingKey maps a request to the key the ring hashes. Submitted programs
 // are addressed by fingerprint already; named benchmarks use the same
 // (benchmark, input) cache key the worker's own build cache uses — both are
-// exactly what the node-side trace/image caches key on, which is what makes
-// ring affinity equal cache affinity.
+// exactly what the node-side result, annotation and image caches key on,
+// which is what makes ring affinity equal cache affinity.
 func routingKey(req *server.EvaluateRequest) string {
 	if req.Program != "" {
 		return "prog/" + req.Program
@@ -202,8 +202,8 @@ func (co *Coordinator) evaluate(ctx context.Context, req server.EvaluateRequest)
 		return server.JobResponse{}, err
 	}
 	t0 := time.Now()
-	// Normalize ReplayPassesSaved to the single-node figure (one pass over
-	// the trace would have served every configuration), so the merged report
+	// Normalize ReplayPassesSaved to the single-node figure (one execution
+	// would have served every configuration), so the merged report
 	// is byte-identical to an unsharded run; the distributed reality is in
 	// the coordinator's own metrics.
 	saved := int64(len(req.Thresholds) - 1)

@@ -13,11 +13,11 @@ import (
 // the candidate order: primary first, then the failover successors.
 //
 // The property that matters is cache affinity: repeat jobs for one program
-// land on the node that already holds its recorded trace and profile image,
-// so a cluster of N nodes keeps N disjoint working sets instead of N copies
-// of the same one. Membership changes move only the keys adjacent to the
-// departed/arrived node's points — the rest of the fleet keeps its caches
-// warm.
+// land on the node that already holds its results, annotations and profile
+// image, so a cluster of N nodes keeps N disjoint working sets instead of N
+// copies of the same one. Membership changes move only the keys adjacent to
+// the departed/arrived node's points — the rest of the fleet keeps its
+// caches warm.
 
 // ringPoint is one virtual node position.
 type ringPoint struct {

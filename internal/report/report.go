@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/annotate"
 	"repro/internal/ilp"
-	"repro/internal/trace"
 	"repro/internal/vpsim"
 )
 
@@ -52,21 +51,6 @@ type ILP struct {
 	SpeedupPct float64 `json:"speedup_pct,omitempty"`
 }
 
-// TraceStorage reports how the run's recorded evaluation trace was stored:
-// the columnar encoding's footprint against the decoded record count, and
-// how much of it had to spill to disk under the trace memory budget.
-type TraceStorage struct {
-	Records int64 `json:"records"`
-	// EncodedBytes is the total columnar-encoded trace size.
-	EncodedBytes int64 `json:"encoded_bytes"`
-	// ResidentBytes is the encoded share held in memory (the rest spilled).
-	ResidentBytes int64 `json:"resident_bytes"`
-	// SpilledChunks counts chunks written to the spill file.
-	SpilledChunks int64 `json:"spilled_chunks"`
-	// BytesPerRecord is EncodedBytes/Records.
-	BytesPerRecord float64 `json:"bytes_per_record"`
-}
-
 // Run is the result of one evaluate run.
 type Run struct {
 	Program     string `json:"program"`
@@ -98,16 +82,12 @@ type Run struct {
 
 	// Sweep holds the per-threshold runs of a multi-threshold evaluate
 	// (one entry per requested threshold, in request order), all produced
-	// from a single pass over the recorded trace. The top-level fields
-	// mirror the first threshold's run for backward compatibility.
-	// ReplayPassesSaved counts the trace replays the single-pass sweep
-	// avoided versus one replay per configuration.
+	// from a single execution of the program. The top-level fields mirror
+	// the first threshold's run for backward compatibility.
+	// ReplayPassesSaved counts the passes over the program the single-pass
+	// sweep avoided versus one pass per configuration.
 	Sweep             []*Run `json:"sweep,omitempty"`
 	ReplayPassesSaved int64  `json:"replay_passes_saved,omitempty"`
-
-	// TraceStorage describes the recorded trace's columnar storage (present
-	// on replayed runs).
-	TraceStorage *TraceStorage `json:"trace_storage,omitempty"`
 }
 
 // SetStats fills the outcome counters and derived percentages from engine
@@ -133,21 +113,6 @@ func (r *Run) SetAnnotation(st annotate.Stats) {
 		TaggedLastValue: st.TaggedLastValue,
 		Untagged:        st.Untagged,
 	}
-}
-
-// SetTraceStorage records the storage shape of the recorded trace the run
-// replayed.
-func (r *Run) SetTraceStorage(rec *trace.Recorder) {
-	ts := &TraceStorage{
-		Records:       rec.Len(),
-		EncodedBytes:  rec.EncodedBytes(),
-		ResidentBytes: rec.BytesResident(),
-		SpilledChunks: rec.SpilledChunks(),
-	}
-	if ts.Records > 0 {
-		ts.BytesPerRecord = float64(ts.EncodedBytes) / float64(ts.Records)
-	}
-	r.TraceStorage = ts
 }
 
 // SetILP records the timed result, optionally against a no-prediction

@@ -14,11 +14,12 @@ import (
 // evaluate calls through the full HTTP stack (scripts/bench.sh feeds these
 // into the "server" section of BENCH_report.json). The cached benchmark
 // measures the serving overhead — queue, single-flight lookup, JSON — while
-// the uncached one includes one full record+replay per request.
+// the uncached ones include one execution of a freshly built program per
+// request.
 
 func benchServer(b *testing.B) (*Server, *httptest.Server) {
 	b.Helper()
-	s := New(Config{Workers: 4, QueueDepth: 256, RequestTimeout: 5 * time.Minute, ResultCache: 8192, TraceCache: 64})
+	s := New(Config{Workers: 4, QueueDepth: 256, RequestTimeout: 5 * time.Minute, ResultCache: 8192})
 	ts := httptest.NewServer(s.Handler())
 	b.Cleanup(ts.Close)
 	return s, ts
@@ -73,14 +74,29 @@ func BenchmarkServerEvaluateCachedParallel(b *testing.B) {
 }
 
 // BenchmarkServerEvaluateUncached varies the input seed per request, so
-// every call records and replays a fresh program.
+// every call executes a fresh program: the FSM baseline, and the 90..50
+// threshold sweep with ILP timing (five profile engines, their ILP machines
+// and the baseline machine on one execution; the training image and the
+// annotations are cached after the first call, as for a long-lived daemon).
 func BenchmarkServerEvaluateUncached(b *testing.B) {
-	_, ts := benchServer(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchEvaluate(b, ts, EvaluateRequest{Bench: "compress", Seed: uint64(i + 1)})
+	for _, leg := range []struct {
+		name string
+		req  EvaluateRequest
+	}{
+		{"fsm", EvaluateRequest{Bench: "compress"}},
+		{"sweep-ilp", EvaluateRequest{Bench: "compress", Thresholds: []float64{90, 80, 70, 60, 50}, ILP: true}},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			_, ts := benchServer(b)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				req := leg.req
+				req.Seed = uint64(i + 1)
+				benchEvaluate(b, ts, req)
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
+		})
 	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 }
 
 func BenchmarkCacheDo(b *testing.B) {

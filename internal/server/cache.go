@@ -24,14 +24,6 @@ type Cache[V any] struct {
 	// key.
 	OnPanic func()
 
-	// OnEvict, when set, observes every successfully computed value the
-	// cache drops under LRU pressure (the server uses it to keep resource
-	// gauges — e.g. resident trace bytes — in step with the cache). It is
-	// called with the cache mutex held and must not reenter the cache or
-	// block. Values may still be in use by callers that fetched them before
-	// eviction, so OnEvict must only account, never release, the value.
-	OnEvict func(V)
-
 	mu sync.Mutex
 	// max is the entry bound; 0 disables the cache entirely (every Do
 	// computes), which keeps the callers branch-free.
@@ -146,9 +138,6 @@ func (c *Cache[V]) evictLocked() {
 				c.ll.Remove(el)
 				delete(c.m, e.key)
 				c.evictions++
-				if c.OnEvict != nil && e.err == nil {
-					c.OnEvict(e.val)
-				}
 				el = nil
 			default:
 				// In-flight: skip toward the front.

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"path/filepath"
 	"sort"
@@ -21,7 +20,6 @@ import (
 	"repro/internal/profiler"
 	"repro/internal/program"
 	"repro/internal/report"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -33,7 +31,6 @@ import (
 // Artifact kinds, each a subdirectory of the state dir.
 const (
 	kindResults  = "results"
-	kindTraces   = "traces"
 	kindImages   = "images"
 	kindAnnos    = "annos"
 	kindPrograms = "programs"
@@ -430,44 +427,6 @@ func (s *Server) programByID(id string) (*program.Program, bool) {
 		return nil, false
 	}
 	return stored, true
-}
-
-// encodeTrace replays a sealed recorder into the trace-file codec.
-func encodeTrace(rec *trace.Recorder) ([]byte, error) {
-	var buf bytes.Buffer
-	tw, err := trace.NewWriter(&buf)
-	if err != nil {
-		return nil, err
-	}
-	rec.Replay(tw)
-	if err := tw.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeTrace streams a persisted trace back into a sealed recorder, honoring
-// the server's trace memory budget (oversized traces spill exactly as a
-// freshly recorded one would).
-func (s *Server) decodeTrace(b []byte) (*trace.Recorder, error) {
-	tr, err := trace.NewReader(bytes.NewReader(b))
-	if err != nil {
-		return nil, err
-	}
-	rec := trace.NewRecorder()
-	rec.SetMemBudget(s.cfg.TraceMemBudget)
-	var r trace.Record
-	for {
-		if err := tr.Next(&r); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			return nil, err
-		}
-		rec.Consume(&r)
-	}
-	rec.Seal()
-	return rec, nil
 }
 
 // ---- checkpointed sweep execution ----

@@ -31,9 +31,9 @@ const (
 	PointWorker   = "server.worker"   // worker pickup, inside the per-job recover
 	PointResolve  = "server.resolve"  // request → program image
 	PointResults  = "server.results"  // result-cache fill
-	PointRecord   = "server.record"   // trace-cache fill (guest execution)
+	PointRecord   = "server.record"   // the job's one guest execution
 	PointAnnotate = "server.annotate" // profile + annotate cache fill
-	PointReplay   = "server.replay"   // trace replay through the engine
+	PointReplay   = "server.replay"   // engine and ILP-machine setup
 )
 
 func init() {
@@ -67,8 +67,8 @@ type EvaluateRequest struct {
 	Classifier string  `json:"classifier,omitempty"`
 	Threshold  float64 `json:"threshold,omitempty"`
 	// Thresholds requests a multi-threshold sweep (profile classifier
-	// only): the job evaluates every listed threshold against ONE pass
-	// over the recorded trace and returns one result per threshold in
+	// only): the job evaluates every listed threshold in ONE execution
+	// of the program and returns one result per threshold in
 	// Run.Sweep. Mutually exclusive with Threshold.
 	Thresholds []float64 `json:"thresholds,omitempty"`
 
@@ -313,10 +313,10 @@ type annotation struct {
 	stats annotate.Stats
 }
 
-// run executes one job on a worker goroutine: resolve the program, record
-// (or reuse) its trace, annotate if profile-classified, replay through a
-// fresh engine, and assemble the report. Cancellation is honored at stage
-// boundaries — individual stages are at most one benchmark execution long.
+// run executes one job on a worker goroutine: resolve the program, annotate
+// if profile-classified, execute it once through fresh engines, and
+// assemble the report. Cancellation is honored at stage boundaries —
+// individual stages are at most one benchmark execution long.
 //
 // The body is panic-isolated: a panicking job (malformed guest state, an
 // injected fault, a bug in a pipeline stage) fails that job with a
@@ -464,24 +464,18 @@ func (s *Server) resolveProgram(req *EvaluateRequest) (*program.Program, workloa
 	return p, workload.Input{}, nil
 }
 
-// compute runs the uncached pipeline for one (program, config) pair. Every
-// requested configuration — the FSM engine or the per-threshold profile
-// engines, their ILP machines, and the shared no-prediction ILP baseline —
-// consumes ONE pass over the recorded trace via trace.MultiEval, so a
-// T-threshold sweep (or an ILP run, which previously replayed twice) costs
-// O(replay + T·table-update) instead of O(T·replay).
+// compute runs the uncached pipeline for one (program, config) pair:
+// annotations first (they need only the training or self-profile image),
+// then ONE execution of the program that feeds every requested
+// configuration — the FSM engine or the per-threshold profile engines, their
+// ILP machines, and the shared no-prediction ILP baseline — through one
+// evaluation sink, so a T-threshold sweep costs one execution plus
+// T·table-update instead of T executions.
 func (s *Server) compute(ctx context.Context, p *program.Program, fp string, input workload.Input, req *EvaluateRequest) (*report.Run, error) {
-	rec, err := s.recordedTrace(p, fp)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
 	var (
 		ths   []float64
 		annos []*annotation
+		err   error
 	)
 	if req.Classifier == "profile" {
 		ths = req.sweepThresholds()
@@ -495,160 +489,160 @@ func (s *Server) compute(ctx context.Context, p *program.Program, fp string, inp
 			}
 		}
 	}
-
-	t0 := time.Now()
 	if err := faults.Inject(PointReplay); err != nil {
 		return nil, err
 	}
-	n := 1
-	if len(ths) > 0 {
-		n = len(ths)
+	ev, err := newEvaluation(req, ths, annos)
+	if err != nil {
+		return nil, err
 	}
-	engines := make([]*vpsim.Engine, n)
-	machines := make([]*ilp.Machine, n) // entries stay nil unless req.ILP
-	cfgs := make([]trace.EvalConfig, 0, n+1)
-	for i := 0; i < n; i++ {
+	cfgs := ev.cfgs
+	if s.evalHook != nil {
+		cfgs = s.evalHook(cfgs)
+	}
+	n, err := s.execute(p, cfgs)
+	if err != nil {
+		return nil, err
+	}
+	saved := int64(len(ev.cfgs) - 1)
+	s.metrics.TraceReplaySaved.Add(saved)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return ev.report(p, fp, input, n, saved), nil
+}
+
+// evaluation is the set of consumers one job evaluates: one engine per
+// threshold (one in all for the FSM classifier), each wrapped in its ILP
+// machine when the request times ILP, plus the shared no-prediction ILP
+// baseline, as the configurations of one evaluation pass.
+type evaluation struct {
+	req      *EvaluateRequest
+	ths      []float64     // profile classifier: the thresholds, one per engine
+	annos    []*annotation // profile classifier: each engine's annotation
+	engines  []*vpsim.Engine
+	machines []*ilp.Machine // entries stay nil unless req.ILP
+	base     *ilp.Machine
+	cfgs     []trace.EvalConfig
+}
+
+// newEvaluation builds fresh consumers for req; annos (profile classifier
+// only) supplies the directive table of each threshold's engine.
+func newEvaluation(req *EvaluateRequest, ths []float64, annos []*annotation) (*evaluation, error) {
+	n := max(len(annos), 1)
+	ev := &evaluation{
+		req:      req,
+		ths:      ths,
+		annos:    annos,
+		engines:  make([]*vpsim.Engine, n),
+		machines: make([]*ilp.Machine, n),
+		cfgs:     make([]trace.EvalConfig, 0, n+1),
+	}
+	for i := range n {
 		store, err := req.newStore()
 		if err != nil {
 			return nil, err
 		}
 		if req.Classifier == "profile" {
-			engines[i] = vpsim.NewProfileEngine(store)
+			ev.engines[i] = vpsim.NewProfileEngine(store)
 		} else {
 			pol, err := classify.NewFSMPolicy(classify.DefaultSatCounter)
 			if err != nil {
 				return nil, err
 			}
-			engines[i] = vpsim.NewFSMEngine(store, pol)
+			ev.engines[i] = vpsim.NewFSMEngine(store, pol)
 		}
-		var consumer trace.Consumer = engines[i]
+		var consumer trace.Consumer = ev.engines[i]
 		if req.ILP {
-			if machines[i], err = ilp.New(ilp.DefaultConfig, engines[i]); err != nil {
+			if ev.machines[i], err = ilp.New(ilp.DefaultConfig, ev.engines[i]); err != nil {
 				return nil, err
 			}
-			consumer = machines[i]
+			consumer = ev.machines[i]
 		}
 		var dirs []isa.Directive
 		if annos != nil {
 			dirs = annos[i].dirs
 		}
-		cfgs = append(cfgs, trace.EvalConfig{Dirs: dirs, Consumer: consumer})
+		ev.cfgs = append(ev.cfgs, trace.EvalConfig{Dirs: dirs, Consumer: consumer})
 	}
-	var base *ilp.Machine
 	if req.ILP {
-		if base, err = ilp.New(ilp.DefaultConfig, nil); err != nil {
+		var err error
+		if ev.base, err = ilp.New(ilp.DefaultConfig, nil); err != nil {
 			return nil, err
 		}
-		cfgs = append(cfgs, trace.EvalConfig{Consumer: base})
+		ev.cfgs = append(ev.cfgs, trace.EvalConfig{Consumer: ev.base})
 	}
-	saved := rec.MultiEval(cfgs...)
-	s.metrics.TraceReplaySaved.Add(saved)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+	return ev, nil
+}
 
+// report assembles the job's result once every configuration has consumed
+// the program's instrs records: the top level mirrors the first
+// threshold's run, and a sweep attaches all per-threshold runs.
+func (ev *evaluation) report(p *program.Program, fp string, input workload.Input, instrs, saved int64) *report.Run {
+	req := ev.req
 	var baseRes *ilp.Result
-	if base != nil {
-		res := base.Result()
+	if ev.base != nil {
+		res := ev.base.Result()
 		baseRes = &res
 	}
-	runs := make([]*report.Run, n)
+	runs := make([]*report.Run, len(ev.engines))
 	for i := range runs {
 		out := &report.Run{
 			Program:      p.Name,
 			Fingerprint:  fp,
-			Instructions: rec.Len(),
+			Instructions: instrs,
 			Classifier:   req.Classifier,
 			Predictor:    report.Predictor{Kind: req.Predictor, Entries: *req.Entries, Assoc: req.Assoc},
 		}
 		if req.Bench != "" {
 			out.Input = input.String()
 		}
-		if annos != nil {
-			out.Threshold = ths[i]
-			out.SetAnnotation(annos[i].stats)
+		if ev.annos != nil {
+			out.Threshold = ev.ths[i]
+			out.SetAnnotation(ev.annos[i].stats)
 		}
-		if machines[i] != nil {
-			out.SetILP(machines[i].Result(), baseRes)
+		if ev.machines[i] != nil {
+			out.SetILP(ev.machines[i].Result(), baseRes)
 		}
-		out.SetStats(engines[i].Stats())
-		out.SetTraceStorage(rec)
+		out.SetStats(ev.engines[i].Stats())
 		runs[i] = out
 	}
-	// The top level mirrors the first threshold's run; a sweep attaches all
-	// per-threshold runs. Copy rather than alias runs[0] so the Sweep slice
-	// does not contain its own parent (which would cycle on marshal).
+	// Copy rather than alias runs[0] so the Sweep slice does not contain
+	// its own parent (which would cycle on marshal).
 	res := *runs[0]
 	if len(req.Thresholds) > 0 {
 		res.Sweep = runs
 		res.ReplayPassesSaved = saved
 	}
-	s.metrics.ObserveStage(stageReplay, time.Since(t0))
-	return &res, nil
+	return &res
 }
 
-// recordedTrace executes the program once — under the server's guest
-// sandbox limits — and seals the recorded stream; repeated requests for the
-// same fingerprint replay the cached trace.
-func (s *Server) recordedTrace(p *program.Program, fp string) (*trace.Recorder, error) {
-	rec, _, err := s.traces.Do(fp, func() (*trace.Recorder, error) {
-		// Disk tier first: a persisted trace streams back through the file
-		// codec instead of re-executing the guest. The resident-bytes gauge is
-		// still accounted (OnEvict will subtract it), but the record-stage
-		// histogram is not — nothing was recorded, which is exactly what the
-		// warm-restart assertions check.
-		if s.dur != nil {
-			if data, ok, _ := s.dur.store.Get(kindTraces, fp); ok {
-				if loaded, derr := s.decodeTrace(data); derr == nil {
-					s.dur.diskHits.Add(1)
-					s.metrics.TraceBytesResident.Add(loaded.BytesResident())
-					s.metrics.TraceChunksSpilled.Add(loaded.SpilledChunks())
-					return loaded, nil
-				} else {
-					s.dur.logf("durable: stale trace artifact %s: %v", fp, derr)
-				}
-			}
-		}
-		t0 := time.Now()
-		if err := faults.Inject(PointRecord); err != nil {
-			return nil, err
-		}
-		rec := trace.NewRecorder()
-		rec.SetMemBudget(s.cfg.TraceMemBudget)
-		if _, err := workload.RunConfig(p, s.vmConfig(), rec); err != nil {
-			return nil, err
-		}
-		// Seal before the cache publishes the recorder to other
-		// goroutines: concurrent replays are safe, further recording
-		// panics.
-		rec.Seal()
-		recordTime := time.Since(t0)
-		s.metrics.TraceBytesResident.Add(rec.BytesResident())
-		s.metrics.TraceChunksSpilled.Add(rec.SpilledChunks())
-		s.metrics.TraceRecords.Add(rec.Len())
-		s.metrics.TraceEncodedBytes.Add(rec.EncodedBytes())
-		s.metrics.TraceChunksEncoded.Add(rec.ChunksEncoded())
-		s.metrics.EncodeAheadStalls.Add(rec.EncodeStalls())
-		s.metrics.RecordNanos.Add(recordTime.Nanoseconds())
-		s.metrics.ObserveStage(stageRecord, recordTime)
-		s.metrics.ObserveStage(stageEncode, rec.EncodeTime())
-		if s.dur != nil {
-			if data, eerr := encodeTrace(rec); eerr == nil {
-				if perr := s.dur.store.Put(kindTraces, fp, data); perr != nil {
-					s.dur.logf("durable: persist trace %s: %v", fp, perr)
-				}
-			}
-		}
-		return rec, nil
-	})
-	return rec, err
+// execute runs the program once under the server's guest sandbox limits,
+// with cfgs attached through one evaluation sink, and returns the retired
+// instruction count. /metrics observes it as the job's record stage.
+func (s *Server) execute(p *program.Program, cfgs []trace.EvalConfig) (int64, error) {
+	t0 := time.Now()
+	if err := faults.Inject(PointRecord); err != nil {
+		return 0, err
+	}
+	sink := trace.NewEvalSink(cfgs...)
+	defer sink.Close()
+	n, err := workload.RunConfig(p, s.vmConfig(), sink)
+	if err != nil {
+		return 0, err
+	}
+	d := time.Since(t0)
+	s.metrics.TraceRecords.Add(n)
+	s.metrics.RecordNanos.Add(d.Nanoseconds())
+	s.metrics.ObserveStage(stageRecord, d)
+	return n, nil
 }
 
 // annotation returns the directive table for a profile-classified run.
 // Named benchmarks follow the paper's flow — profile under n disjoint
 // training inputs, merge, annotate at the threshold. Submitted programs have
-// no input parameterization, so they are self-profiled from their own
-// recorded trace (documented in DESIGN.md §8).
+// no input parameterization, so they are self-profiled: one run of the
+// program with a profiler attached (documented in DESIGN.md §8).
 func (s *Server) annotation(p *program.Program, fp string, req *EvaluateRequest, th float64) (*annotation, error) {
 	key := fmt.Sprintf("%s|t%g", fp, th)
 	anno, _, err := durableDo(s, s.annos, kindAnnos, key, encodeAnnotation, decodeAnnotation, func() (*annotation, error) {
@@ -682,28 +676,26 @@ func (s *Server) profileImage(p *program.Program, fp string, req *EvaluateReques
 		imageKey = "train/" + req.Bench
 	}
 	im, _, err := durableDo(s, s.images, kindImages, imageKey, encodeImage, decodeImage, func() (*profiler.Image, error) {
-		if req.Bench != "" {
-			ims := make([]*profiler.Image, 0, s.cfg.TrainInputs)
-			for _, in := range workload.TrainingInputs(s.cfg.TrainInputs) {
-				col := profiler.NewCollector()
-				bp, err := workload.Build(req.Bench, in)
-				if err != nil {
-					return nil, fmt.Errorf("profile %s under %s: %w", req.Bench, in, err)
-				}
-				if _, err := workload.RunConfig(bp, s.vmConfig(), col); err != nil {
-					return nil, fmt.Errorf("profile %s under %s: %w", req.Bench, in, err)
-				}
-				ims = append(ims, col.Image(req.Bench, in.String()))
+		if req.Bench == "" {
+			col := profiler.NewCollector()
+			if _, err := workload.RunConfig(p, s.vmConfig(), col); err != nil {
+				return nil, err
 			}
-			return profiler.Merge(ims...)
+			return col.Image(p.Name, "self"), nil
 		}
-		rec, err := s.recordedTrace(p, fp)
-		if err != nil {
-			return nil, err
+		ims := make([]*profiler.Image, 0, s.cfg.TrainInputs)
+		for _, in := range workload.TrainingInputs(s.cfg.TrainInputs) {
+			col := profiler.NewCollector()
+			bp, err := workload.Build(req.Bench, in)
+			if err != nil {
+				return nil, fmt.Errorf("profile %s under %s: %w", req.Bench, in, err)
+			}
+			if _, err := workload.RunConfig(bp, s.vmConfig(), col); err != nil {
+				return nil, fmt.Errorf("profile %s under %s: %w", req.Bench, in, err)
+			}
+			ims = append(ims, col.Image(req.Bench, in.String()))
 		}
-		col := profiler.NewCollector()
-		rec.Replay(col)
-		return col.Image(p.Name, "self"), nil
+		return profiler.Merge(ims...)
 	})
 	return im, err
 }

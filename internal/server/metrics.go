@@ -16,7 +16,7 @@ import (
 // invisible next to the simulation work it measures.
 
 // latencyBounds are the histogram bucket upper bounds. Stage latencies range
-// from microseconds (cache hits, annotation) to seconds (recording a large
+// from microseconds (cache hits, annotation) to seconds (executing a large
 // benchmark), so the buckets grow roughly ×2.5 per step.
 var latencyBounds = []time.Duration{
 	100 * time.Microsecond,
@@ -127,14 +127,12 @@ const (
 	stageQueueWait = "queue_wait" // submit → worker pickup
 	stageExecute   = "execute"    // worker pickup → result (total minus queue_wait)
 	stageResolve   = "resolve"    // name/id → program image + fingerprint
-	stageRecord    = "record"     // execute once into the trace recorder
-	stageEncode    = "encode"     // column-chunk compression within the record stage
+	stageRecord    = "record"     // the one execution, feeding every configuration
 	stageAnnotate  = "annotate"   // profile + threshold annotation (profile classifier)
-	stageReplay    = "replay"     // trace replay through the prediction engine(s)
 	stageTotal     = "total"      // submit → result
 )
 
-var stageNames = []string{stageQueueWait, stageExecute, stageResolve, stageRecord, stageEncode, stageAnnotate, stageReplay, stageTotal}
+var stageNames = []string{stageQueueWait, stageExecute, stageResolve, stageRecord, stageAnnotate, stageTotal}
 
 // Metrics aggregates the daemon's counters and histograms.
 type Metrics struct {
@@ -149,31 +147,17 @@ type Metrics struct {
 	ValidationRejections atomic.Int64 // malformed requests/images rejected up front
 
 	// WorkersBusy is a gauge of workers currently executing a job (0 ≤
-	// WorkersBusy ≤ pool size). TraceReplaySaved counts the trace-replay
-	// passes the single-pass MultiEval avoided versus one replay per
+	// WorkersBusy ≤ pool size). TraceReplaySaved counts the executions the
+	// one-execution evaluation avoided versus one execution per
 	// configuration (DESIGN.md §10).
 	WorkersBusy      atomic.Int64
 	TraceReplaySaved atomic.Int64
 
-	// Trace-storage accounting (DESIGN.md §11). TraceBytesResident is a
-	// gauge of encoded trace bytes held in memory across the trace cache
-	// (recording adds, eviction subtracts); TraceChunksSpilled counts chunks
-	// written to spill files; TraceRecords/TraceEncodedBytes accumulate over
-	// every recorded trace and yield the observed codec bytes-per-record.
-	TraceBytesResident atomic.Int64
-	TraceChunksSpilled atomic.Int64
-	TraceRecords       atomic.Int64
-	TraceEncodedBytes  atomic.Int64
-
-	// Record-side accounting (DESIGN.md §15). TraceChunksEncoded counts
-	// column chunks sealed through the chunk codec; EncodeAheadStalls counts
-	// the times the fused recording loop had to wait for the background
-	// encoder (backpressure from the encode-ahead pipeline); RecordNanos
-	// accumulates wall time spent in the record stage, giving the observed
-	// recording throughput next to TraceRecords.
-	TraceChunksEncoded atomic.Int64
-	EncodeAheadStalls  atomic.Int64
-	RecordNanos        atomic.Int64
+	// TraceRecords and RecordNanos accumulate the records and wall time of
+	// every job's execution (the record stage), giving the observed
+	// execution throughput.
+	TraceRecords atomic.Int64
+	RecordNanos  atomic.Int64
 
 	stages map[string]*Histogram
 }
@@ -218,24 +202,20 @@ type MetricsSnapshot struct {
 	FaultsInjected int64                        `json:"faults_injected"`
 	FaultPoints    map[string]faults.PointStats `json:"fault_points,omitempty"`
 
-	// TraceReplayPassesSaved totals the replay passes MultiEval merged away
-	// across all jobs (sweeps and ILP baselines share one trace pass).
+	// TraceReplayPassesSaved totals the executions merged away across all
+	// jobs (sweeps and ILP baselines share one execution).
 	TraceReplayPassesSaved int64 `json:"trace_replay_passes_saved"`
 
-	// Trace storage: encoded bytes currently resident across cached traces,
-	// chunks spilled to disk under the trace memory budget, and the observed
-	// columnar-codec cost per record across everything recorded so far.
+	// TraceBytesResident, TraceCodecBytesPerRecord and EncodeAheadStalls
+	// always read 0: vpserve keeps, encodes and spills no traces. They stay
+	// so existing /metrics readers keep decoding.
 	TraceBytesResident       int64   `json:"trace_bytes_resident"`
-	TraceChunksSpilled       int64   `json:"trace_chunks_spilled"`
 	TraceCodecBytesPerRecord float64 `json:"trace_codec_bytes_per_record"`
-
-	// Record side: chunks sealed through the column codec, stalls of the
-	// fused recording loop on the encode-ahead pipeline, and the observed
-	// recording throughput (recorded instructions over record-stage wall
-	// time, in millions per second; 0 until something is recorded).
-	TraceChunksEncoded int64   `json:"trace_chunks_encoded"`
-	EncodeAheadStalls  int64   `json:"encode_ahead_stalls"`
-	RecordMinstrPerS   float64 `json:"record_minstr_per_s"`
+	EncodeAheadStalls        int64   `json:"encode_ahead_stalls"`
+	// RecordMinstrPerS is the observed execution throughput: executed
+	// instructions over record-stage wall time, in millions per second (0
+	// until a job has executed).
+	RecordMinstrPerS float64 `json:"record_minstr_per_s"`
 
 	Caches map[string]CacheStats        `json:"caches"`
 	Stages map[string]HistogramSnapshot `json:"stages"`

@@ -1,10 +1,10 @@
 // Package server implements vpserve, the profiling-as-a-service daemon: a
 // JSON HTTP API over the repository's profile → classify → annotate →
 // evaluate pipeline. Submitted work flows through a bounded job queue into a
-// worker pool; results, recorded traces, profile images and annotations are
-// memoized in fingerprint-keyed LRU caches with single-flight deduplication,
-// so a program is executed once and replayed for every configuration — the
-// PR-1 record-once/replay-many cache amortized across a long-lived process.
+// worker pool; results, profile images and annotations are memoized in
+// fingerprint-keyed LRU caches with single-flight deduplication, and a job
+// that misses the result cache executes its program once, feeding every
+// requested configuration as the program runs.
 //
 // Endpoints:
 //
@@ -52,15 +52,8 @@ type Config struct {
 	// TrainInputs is n, the number of training inputs profiled for
 	// profile-classified benchmark runs (default 5, the paper's n).
 	TrainInputs int
-	// ResultCache / TraceCache bound the result and trace LRU caches, in
-	// entries (defaults 1024, 32).
+	// ResultCache bounds the result LRU cache, in entries (default 1024).
 	ResultCache int
-	TraceCache  int
-	// TraceMemBudget bounds the encoded bytes each recorded trace keeps
-	// resident in memory; chunks past the budget spill to a temporary file
-	// and stream back during replay. ≤ 0 (the default) keeps traces fully
-	// resident. Results are bit-identical either way.
-	TraceMemBudget int64
 	// StateDir, when set, enables the durability layer (DESIGN.md §13): a
 	// persistent artifact store under this directory backing every cache,
 	// plus a write-ahead job journal. Empty (the default) keeps all state
@@ -77,7 +70,7 @@ type Config struct {
 	// Logf receives durability-layer diagnostics (quarantines, recovery,
 	// persistence failures). Default log.Printf.
 	Logf func(string, ...any)
-	// Limits sandboxes guest execution (recording and profiling runs).
+	// Limits sandboxes guest execution (evaluation and profiling runs).
 	// A zero value takes DefaultLimits; set a field to -1 to disable that
 	// limit (the vm treats non-positive limits as unlimited).
 	Limits vm.Limits
@@ -97,7 +90,7 @@ const (
 // default memory image — data plus vm.DefaultExtraMem heap words — stays far
 // below MaxMem, so clamping never alters a benchmark's stack placement or
 // its trace), tight enough that an uploaded runaway program cannot pin a
-// worker or balloon the trace cache.
+// worker.
 var DefaultLimits = vm.Limits{
 	MaxSteps:       100_000_000,
 	MaxMem:         1 << 24, // words (128 MiB)
@@ -114,7 +107,6 @@ func (c Config) withDefaults() Config {
 	def(&c.QueueDepth, 64)
 	def(&c.TrainInputs, workloadDefaultTrainInputs)
 	def(&c.ResultCache, 1024)
-	def(&c.TraceCache, 32)
 	def(&c.SweepCheckpoint, 4)
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 60 * time.Second
@@ -125,8 +117,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// vmConfig is the machine configuration for guest executions (trace
-// recording and profiling runs), carrying the sandbox limits.
+// vmConfig is the machine configuration for guest executions (evaluation
+// and profiling runs), carrying the sandbox limits.
 func (s *Server) vmConfig() vm.Config { return vm.Config{Limits: s.cfg.Limits} }
 
 // workloadDefaultTrainInputs mirrors experiments.DefaultTrainInputs without
@@ -142,13 +134,16 @@ type Server struct {
 	metrics *Metrics
 
 	results  *Cache[*report.Run]
-	traces   *Cache[*trace.Recorder]
 	images   *Cache[*profiler.Image]
 	annos    *Cache[*annotation]
 	programs *Cache[*program.Program]
 
 	// dur is the durability layer; nil when Config.StateDir is empty.
 	dur *durability
+
+	// evalHook, when set before the first job, amends each job's evaluation
+	// configurations before the execution (tests attach their own consumers).
+	evalHook func([]trace.EvalConfig) []trace.EvalConfig
 
 	mux *http.ServeMux
 
@@ -196,7 +191,6 @@ func Open(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		metrics:  NewMetrics(),
 		results:  NewCache[*report.Run](cfg.ResultCache),
-		traces:   NewCache[*trace.Recorder](cfg.TraceCache),
 		images:   NewCache[*profiler.Image](imageCacheSize),
 		annos:    NewCache[*annotation](annoCacheSize),
 		programs: NewCache[*program.Program](programCacheSize),
@@ -206,16 +200,9 @@ func Open(cfg Config) (*Server, error) {
 	// recovered worker panics (the waiters see a *PanicError).
 	onPanic := func() { s.metrics.PanicsRecovered.Add(1) }
 	s.results.OnPanic = onPanic
-	s.traces.OnPanic = onPanic
 	s.images.OnPanic = onPanic
 	s.annos.OnPanic = onPanic
 	s.programs.OnPanic = onPanic
-	// Keep the resident-bytes gauge in step with the trace cache. Eviction
-	// only unaccounts the memory — the recorder itself (and any spill file
-	// descriptor) is released by the GC once in-flight replays drop it.
-	s.traces.OnEvict = func(rec *trace.Recorder) {
-		s.metrics.TraceBytesResident.Add(-rec.BytesResident())
-	}
 	s.pool = newPool(cfg.Workers, cfg.QueueDepth, s.run)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -313,9 +300,7 @@ type errorBody struct {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
@@ -357,27 +342,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		ValidationRejections: s.metrics.ValidationRejections.Load(),
 
 		TraceReplayPassesSaved: s.metrics.TraceReplaySaved.Load(),
-		TraceBytesResident:     s.metrics.TraceBytesResident.Load(),
-		TraceChunksSpilled:     s.metrics.TraceChunksSpilled.Load(),
 		FaultsInjected:         int64(faults.Fired()),
 		FaultPoints:            faults.Snapshot(),
 		Caches: map[string]CacheStats{
 			"results":  s.results.Stats(),
-			"traces":   s.traces.Stats(),
 			"images":   s.images.Stats(),
 			"annos":    s.annos.Stats(),
 			"programs": s.programs.Stats(),
 		},
 		Stages: make(map[string]HistogramSnapshot, len(stageNames)),
 	}
-	if recs := s.metrics.TraceRecords.Load(); recs > 0 {
-		snap.TraceCodecBytesPerRecord = float64(s.metrics.TraceEncodedBytes.Load()) / float64(recs)
-		if ns := s.metrics.RecordNanos.Load(); ns > 0 {
-			snap.RecordMinstrPerS = float64(recs) * 1e3 / float64(ns)
-		}
+	if ns := s.metrics.RecordNanos.Load(); ns > 0 {
+		snap.RecordMinstrPerS = float64(s.metrics.TraceRecords.Load()) * 1e3 / float64(ns)
 	}
-	snap.TraceChunksEncoded = s.metrics.TraceChunksEncoded.Load()
-	snap.EncodeAheadStalls = s.metrics.EncodeAheadStalls.Load()
 	for _, name := range stageNames {
 		snap.Stages[name] = s.metrics.Stage(name).Snapshot()
 	}

@@ -13,7 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/trace"
+	"repro/internal/report"
 	"repro/internal/workload"
 )
 
@@ -180,8 +180,8 @@ func TestEvaluateCacheHit(t *testing.T) {
 		t.Fatalf("cached result differs:\nfirst:  %+v\nsecond: %+v", first.Result, second.Result)
 	}
 	// The acceptance bar: a repeated identical request is measurably
-	// faster. The miss records + profiles + replays a benchmark (tens of
-	// ms at least); the hit is a map lookup behind one HTTP round trip.
+	// faster. The miss profiles and executes a benchmark (tens of ms at
+	// least); the hit is a map lookup behind one HTTP round trip.
 	if hitDur > missDur/2 {
 		t.Errorf("cache hit not measurably faster: miss=%s hit=%s", missDur, hitDur)
 	}
@@ -196,7 +196,7 @@ func TestEvaluateCacheHit(t *testing.T) {
 	if snap.JobsCompleted < 2 {
 		t.Fatalf("jobs_completed = %d, want ≥ 2", snap.JobsCompleted)
 	}
-	if snap.Stages[stageTotal].Count < 2 || snap.Stages[stageReplay].Count < 1 {
+	if snap.Stages[stageTotal].Count < 2 || snap.Stages[stageRecord].Count < 1 {
 		t.Fatalf("stage histograms empty: %+v", snap.Stages)
 	}
 }
@@ -291,7 +291,7 @@ func TestValidationErrors(t *testing.T) {
 
 func TestRequestTimeoutWhileQueued(t *testing.T) {
 	// One worker; block it deterministically by pre-claiming the compress
-	// trace computation in the single-flight cache, so the worker joins
+	// result computation in the single-flight cache, so the worker joins
 	// the in-flight entry and waits. A second job then sits queued past
 	// its deadline and must fail with "cancelled while queued".
 	const timeout = 200 * time.Millisecond
@@ -305,18 +305,15 @@ func TestRequestTimeoutWhileQueued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reqA := EvaluateRequest{Bench: "compress"}
+	reqA.Normalize()
 	release := make(chan struct{})
 	flightDone := make(chan struct{})
 	go func() {
 		defer close(flightDone)
-		_, _, _ = s.traces.Do(fp, func() (*trace.Recorder, error) {
+		_, _, _ = s.results.Do(fp+"|"+reqA.configKey(), func() (*report.Run, error) {
 			<-release
-			rec := trace.NewRecorder()
-			if _, err := workload.Run(p, rec); err != nil {
-				return nil, err
-			}
-			rec.Seal()
-			return rec, nil
+			return s.compute(context.Background(), p, fp, workload.EvaluationInput(), &reqA)
 		})
 	}()
 
@@ -503,7 +500,7 @@ func TestConcurrentClientsRace(t *testing.T) {
 	}
 	var snap MetricsSnapshot
 	getJSON(t, ts.URL+"/metrics", &snap)
-	if snap.Caches["results"].Hits == 0 || snap.Caches["traces"].Hits == 0 {
+	if snap.Caches["results"].Hits == 0 {
 		t.Errorf("stress produced no cache hits: %+v", snap.Caches)
 	}
 	if snap.JobsFailed > 0 {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"runtime"
 	"sync"
 
 	"repro/internal/isa"
@@ -181,34 +182,53 @@ type ColumnAppender interface {
 	FlushTail()
 }
 
-// ColumnSink adapts any set of consumers into one ColumnAppender: the VM's
-// dispatch loop stages columns and the sink delivers each filled stage to
-// every consumer in order, through the same fan-out a single-lane replay
-// pass uses (evalLane). Batch kernels (the profiler's training pass,
+// ColumnSink adapts a set of evaluation configurations into one
+// ColumnAppender: the VM's dispatch loop stages columns and the sink
+// delivers each filled stage to every configuration through the lanes of a
+// replay pass (lanePass). Batch kernels (the profiler's training pass,
 // prediction engines, ILP machines) receive the stage as a Batch; per-record
 // consumers receive it materialized once into Records. So a live run feeds
 // its consumers at chunk granularity, exactly the replay contract: batches
 // and records are delivered in stream order and are valid only for the
-// duration of the ConsumeBatch or Consume call.
+// duration of the ConsumeBatch or Consume call. With more than one lane the
+// stages are evaluated on a stage-ahead goroutine, so the VM fills stage
+// k+1 while the lanes evaluate stage k.
 type ColumnSink struct {
-	lane  evalLane
-	recs  recordView
+	pass  lanePass
+	ahead *stageAhead // evaluates filled stages; nil with one lane
 	st    *RecordColumns
 	batch Batch
 	n     int64
 }
 
-// NewColumnSink returns a sink feeding cs in order; with no consumers the
-// staged records are discarded. Call Close when done to deliver the tail
-// and return the pooled stage.
+// NewColumnSink returns a sink feeding cs in order, one lane on the
+// producing goroutine; with no consumers the staged records are discarded.
 func NewColumnSink(cs ...Consumer) *ColumnSink {
-	s := &ColumnSink{st: getCols()}
 	cfgs := make([]EvalConfig, len(cs))
 	for i, c := range cs {
 		cfgs[i].Consumer = c
-		s.lane.add(cfgs[i])
 	}
-	s.recs = newRecordView(cfgs)
+	return newColumnSink(cfgs, 1)
+}
+
+// NewEvalSink returns a sink evaluating cfgs — independent configurations,
+// each with its directive table, exactly as MultiEval does — in lanes that
+// follow GOMAXPROCS. Attached to a VM as its lone consumer, it gives every
+// configuration the results a recorded MultiEval pass would.
+func NewEvalSink(cfgs ...EvalConfig) *ColumnSink {
+	return newColumnSink(cfgs, runtime.GOMAXPROCS(0))
+}
+
+func newColumnSink(cfgs []EvalConfig, maxLanes int) *ColumnSink {
+	s := &ColumnSink{st: getCols()}
+	s.pass.start(cfgs, maxLanes)
+	if len(s.pass.lanes) > 1 {
+		var b Batch
+		s.ahead = startAhead(func(st *RecordColumns) {
+			b.viewStage(st)
+			s.pass.eval(&b)
+		})
+	}
 	return s
 }
 
@@ -225,29 +245,50 @@ func (s *ColumnSink) Consume(r *Record) {
 // ColumnStage implements ColumnAppender.
 func (s *ColumnSink) ColumnStage() *RecordColumns { return s.st }
 
-// FlushColumns delivers the staged columns to the consumers as one Batch.
+// FlushColumns hands the staged columns to the lanes as one Batch and
+// returns the stage to continue into. A consumer panic is re-raised here, or
+// with a stage-ahead goroutine at the next flush.
 func (s *ColumnSink) FlushColumns() *RecordColumns {
 	st := s.st
 	if st.N == 0 {
 		return st
 	}
-	s.batch.viewStage(st)
-	s.lane.eval(&s.batch, s.recs.fill(&s.batch))
 	s.n += int64(st.N)
-	st.N = 0
+	if s.ahead != nil {
+		s.ahead.check()
+		s.ahead.submit(st)
+		st = s.ahead.acquire(nil)
+		s.st = st
+	} else {
+		s.batch.viewStage(st)
+		s.pass.eval(&s.batch)
+		st.N = 0
+	}
 	st.FirstSeq = s.n
 	return st
 }
 
-// FlushTail delivers any partially filled stage.
-func (s *ColumnSink) FlushTail() { s.FlushColumns() }
+// FlushTail delivers any partially filled stage and returns once every
+// configuration has consumed every record, re-raising a consumer panic.
+func (s *ColumnSink) FlushTail() {
+	s.FlushColumns()
+	if s.ahead != nil {
+		s.ahead.drain()
+	}
+}
 
-// Close flushes the tail and returns the pooled stage. The sink must not be
+// Close stops the sink's goroutines and returns its pooled stages; records
+// staged since the last flush are dropped. It never panics, so it can be
+// deferred across a panicking run, and is idempotent. The sink must not be
 // used afterwards.
 func (s *ColumnSink) Close() {
-	s.FlushColumns()
-	if s.st != nil {
-		putCols(s.st)
-		s.st = nil
+	if s.st == nil {
+		return
 	}
+	if s.ahead != nil {
+		s.ahead.stop()
+	}
+	s.pass.stop()
+	putCols(s.st)
+	s.st = nil
 }

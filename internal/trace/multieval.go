@@ -19,8 +19,10 @@ import (
 // exactly the record sequence its own ReplayDirs/Replay call would have
 // produced, so per-configuration results are bit-identical to separate
 // replays (the equivalence is asserted by TestMultiEvalMatchesSeparateReplays).
-// evalPass is the only fan-out: Replay and ReplayDirs run their consumers
-// as the configurations of a pass with one lane.
+// lanePass is the only fan-out: Replay and ReplayDirs run their consumers
+// as the configurations of a pass with one lane, and a ColumnSink feeds a
+// live run's stages through the same lanes (NewEvalSink is MultiEval
+// without the recording).
 
 // EvalConfig is one independent evaluation configuration of a MultiEval
 // pass: a consumer plus the per-address directive table to patch into each
@@ -74,73 +76,85 @@ func (rc *Recorder) MultiEval(cfgs ...EvalConfig) int64 {
 }
 
 // evalPass is one replay pass — Replay, ReplayDirs or MultiEval: one walk
-// over the stream, every batch evaluated by every configuration. Batch
-// kernels get the columns; if any configuration is a per-record consumer,
-// each batch is first materialized once into Records that every lane
-// reads. The configurations are dealt round-robin into min(maxLanes,
-// len(cfgs)) lanes: lane 0 runs on the walking goroutine, the others on
-// goroutines of their own that receive the same read-only batch, so the
-// kernels of one chunk run in parallel while the decode-ahead lanes
-// (walkPipe) decode the next. The walk waits for every lane before
-// advancing, since the batch is recycled when it returns. With one lane
-// there is no goroutine. A consumer panic stops the walk once every lane
-// has finished the batch, and is re-raised on the caller.
+// over the stream, every batch evaluated by every configuration through a
+// lanePass. The lanes' kernels of one chunk run in parallel while the
+// decode-ahead lanes (walkPipe) decode the next.
 func (rc *Recorder) evalPass(cfgs []EvalConfig, maxLanes int) {
 	rc.passes.Add(1)
 	rc.drainEncode()
-	lanes := make([]*evalLane, max(1, min(maxLanes, len(cfgs))))
-	for k := range lanes {
-		lanes[k] = &evalLane{}
-	}
-	for i, cfg := range cfgs {
-		lanes[i%len(lanes)].add(cfg)
-	}
-	view := newRecordView(cfgs)
-	if len(lanes) == 1 {
-		rc.walk(func(b *Batch) {
-			lanes[0].eval(b, view.fill(b))
-		})
-		return
-	}
+	var p lanePass
+	p.start(cfgs, maxLanes)
+	defer p.stop()
+	rc.walk(p.eval)
+}
 
-	var wg sync.WaitGroup
-	others := lanes[1:]
-	for _, l := range others {
+// lanePass is the fan-out shared by replay passes and ColumnSinks: the
+// configurations are dealt round-robin into min(maxLanes, len(cfgs)) lanes.
+// If any configuration is a per-record consumer, each batch is first
+// materialized once into Records that every lane reads. Lane 0 runs on the
+// goroutine that calls eval, the others on goroutines of their own that
+// receive the same read-only batch. With one lane there is no goroutine.
+type lanePass struct {
+	lanes []evalLane
+	one   [1]evalLane // backs lanes in a one-lane pass: no allocation per VM run
+	view  recordView
+	wg    sync.WaitGroup
+}
+
+// start deals cfgs into the lanes and starts the goroutines of lanes 1..
+func (p *lanePass) start(cfgs []EvalConfig, maxLanes int) {
+	if n := max(1, min(maxLanes, len(cfgs))); n > 1 {
+		p.lanes = make([]evalLane, n)
+	} else {
+		p.lanes = p.one[:]
+	}
+	p.view = newRecordView(cfgs)
+	for i, cfg := range cfgs {
+		p.lanes[i%len(p.lanes)].add(cfg)
+	}
+	for k := 1; k < len(p.lanes); k++ {
+		l := &p.lanes[k]
 		l.in, l.done = make(chan *Batch), make(chan struct{})
-		wg.Add(1)
-		go func(l *evalLane) {
-			defer wg.Done()
+		p.wg.Add(1)
+		go func() {
+			defer p.wg.Done()
 			for b := range l.in {
 				// view.recs was written before b was sent and is
 				// rewritten only after done is received.
-				l.failure = l.tryEval(b, view.recs)
+				l.failure = l.tryEval(b, p.view.recs)
 				l.done <- struct{}{}
 			}
-		}(l)
+		}()
 	}
-	defer func() {
-		for _, l := range others {
-			close(l.in)
+}
+
+// eval runs b through every lane and returns once every lane has finished
+// with it, since the caller recycles the batch. A consumer panic on any
+// lane is re-raised here, after every lane has finished; the pass must not
+// be used afterwards except to stop it.
+func (p *lanePass) eval(b *Batch) {
+	recs := p.view.fill(b)
+	others := p.lanes[1:]
+	for k := range others {
+		others[k].in <- b
+	}
+	p.lanes[0].failure = p.lanes[0].tryEval(b, recs)
+	for k := range others {
+		<-others[k].done
+	}
+	for k := range p.lanes {
+		if f := p.lanes[k].failure; f != nil {
+			panic(f)
 		}
-		wg.Wait()
-	}()
-	rc.walk(func(b *Batch) {
-		recs := view.fill(b)
-		for _, l := range others {
-			l.in <- b
-		}
-		// Every lane finishes with b before anything is raised: the batch
-		// goes back to the decode pool when this function returns.
-		lanes[0].failure = lanes[0].tryEval(b, recs)
-		for _, l := range others {
-			<-l.done
-		}
-		for _, l := range lanes {
-			if l.failure != nil {
-				panic(l.failure)
-			}
-		}
-	})
+	}
+}
+
+// stop ends the lane goroutines.
+func (p *lanePass) stop() {
+	for k := 1; k < len(p.lanes); k++ {
+		close(p.lanes[k].in)
+	}
+	p.wg.Wait()
 }
 
 // recordView materializes each batch of a pass once into Records when some

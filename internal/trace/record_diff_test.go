@@ -117,6 +117,7 @@ func TestColumnSinkMatchesScalarDelivery(t *testing.T) {
 		want.Consume(&r)
 		sink.Consume(&r)
 	}
+	sink.FlushTail()
 	sink.Close()
 	if !reflect.DeepEqual(want.recs, got.recs) {
 		t.Fatal("ColumnSink delivery differs from direct scalar consumption")

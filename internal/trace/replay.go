@@ -82,7 +82,7 @@ type Recorder struct {
 	// it observes every flushed chunk and the drain's channel round trip
 	// orders the encoder's writes before the read. Once sealed (or on the
 	// sequential path) everything is synchronous and immutable.
-	ahead       *encodeAhead // background chunk encoder; nil on the sequential path
+	ahead       *stageAhead  // background chunk encoder; nil on the sequential path
 	inflight    bool         // stages submitted to ahead since the last drain
 	aheadOff    bool         // pipeline decision made: encode inline
 	stalls      atomic.Int64 // flushes that blocked waiting for a free stage
@@ -198,8 +198,11 @@ func (rc *Recorder) Seal() {
 	if rc.ahead != nil {
 		// Stop the encode-ahead pipeline first: it drains every queued
 		// stage in order, so the inline tail encode below lands last.
-		rc.ahead.stop()
+		p := rc.ahead.stop()
 		rc.ahead = nil
+		if p != nil {
+			panic(p)
+		}
 	}
 	if rc.cols != nil {
 		if rc.cols.N > 0 {
@@ -290,7 +293,7 @@ func (rc *Recorder) FlushColumns() *RecordColumns {
 	if rc.pipeline() {
 		rc.ahead.submit(st)
 		rc.inflight = true
-		st = rc.ahead.acquire(rc)
+		st = rc.ahead.acquire(&rc.stalls)
 		rc.cols = st
 	} else {
 		rc.encodeStage(rc.encoder(), st)
@@ -317,7 +320,8 @@ func (rc *Recorder) pipeline() bool {
 		return false
 	}
 	if runtime.GOMAXPROCS(0) > 1 {
-		rc.ahead = startEncodeAhead(rc)
+		enc := rc.encoder() // owned by the encoder goroutine until Seal stops it
+		rc.ahead = startAhead(func(st *RecordColumns) { rc.encodeStage(enc, st) })
 		return true
 	}
 	rc.aheadOff = true

@@ -295,8 +295,9 @@ func (m *Machine) Run() error {
 		}
 	}
 	sink := trace.NewColumnSink(m.consumers...)
+	defer sink.Close()
 	err := m.run(sink, sink.ColumnStage(), events)
-	sink.Close()
+	sink.FlushTail()
 	return err
 }
 

@@ -31,8 +31,8 @@ curl -fsS "$BASE/healthz" | grep -q '"ok"' || { echo "healthz body unexpected"; 
 # One evaluate request, end to end.
 BODY='{"bench":"compress","classifier":"profile","threshold":80}'
 curl -fsS -X POST -d "$BODY" "$BASE/v1/evaluate" -o "$WORK/r1"
-grep -q '"status": "done"' "$WORK/r1" || { echo "evaluate not done:"; cat "$WORK/r1"; exit 1; }
-grep -q '"program": "compress"' "$WORK/r1" || { echo "evaluate wrong program:"; cat "$WORK/r1"; exit 1; }
+grep -q '"status":"done"' "$WORK/r1" || { echo "evaluate not done:"; cat "$WORK/r1"; exit 1; }
+grep -q '"program":"compress"' "$WORK/r1" || { echo "evaluate wrong program:"; cat "$WORK/r1"; exit 1; }
 
 # The identical repeat must be a cache hit.
 curl -fsS -D "$WORK/hdrs" -X POST -d "$BODY" "$BASE/v1/evaluate" -o "$WORK/r2"
@@ -40,7 +40,7 @@ grep -qi '^X-Cache: hit' "$WORK/hdrs" || { echo "repeat was not a cache hit:"; c
 
 # Metrics reflect the work.
 curl -fsS "$BASE/metrics" -o "$WORK/metrics"
-grep -q '"jobs_completed": 2' "$WORK/metrics" || { echo "metrics unexpected:"; cat "$WORK/metrics"; exit 1; }
+grep -q '"jobs_completed":2' "$WORK/metrics" || { echo "metrics unexpected:"; cat "$WORK/metrics"; exit 1; }
 
 # SIGTERM drains cleanly (exit 0).
 kill -TERM "$PID"
@@ -50,7 +50,7 @@ fi
 grep -q "drained cleanly" "$WORK/log" || { echo "no clean-drain message:"; cat "$WORK/log"; exit 1; }
 
 # --- Fault-injection smoke: a second daemon armed to fail the first
-# trace-recording. The faulted request must 5xx, the retry must succeed
+# job execution. The faulted request must 5xx, the retry must succeed
 # (failures are never cached), and /metrics must attribute the injection.
 FPORT=$((PORT + 1))
 FBASE="http://127.0.0.1:$FPORT"
@@ -76,10 +76,10 @@ grep -q 'injected fault' "$WORK/f1" || { echo "failure not attributed to injecti
 
 # The fault was one-shot and the failure was not cached: retry succeeds.
 curl -fsS -X POST -d "$BODY" "$FBASE/v1/evaluate" -o "$WORK/f2"
-grep -q '"status": "done"' "$WORK/f2" || { echo "retry after fault not done:"; cat "$WORK/f2"; exit 1; }
+grep -q '"status":"done"' "$WORK/f2" || { echo "retry after fault not done:"; cat "$WORK/f2"; exit 1; }
 
 curl -fsS "$FBASE/metrics" -o "$WORK/fmetrics"
-grep -q '"faults_injected": 1' "$WORK/fmetrics" || { echo "fault metrics unexpected:"; cat "$WORK/fmetrics"; exit 1; }
+grep -q '"faults_injected":1' "$WORK/fmetrics" || { echo "fault metrics unexpected:"; cat "$WORK/fmetrics"; exit 1; }
 
 kill -TERM "$FPID"
 wait "$FPID" || { echo "faulted vpserve exited non-zero on SIGTERM:"; cat "$WORK/flog"; exit 1; }
