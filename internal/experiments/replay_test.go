@@ -214,9 +214,9 @@ func oracleSchemes(thresholds []float64) []oracleScheme {
 }
 
 // oracleSteps bounds every run of the kernel-level oracle to six full
-// 16384-record trace chunks plus a partial one: enough chunks for every
-// decode-ahead and MultiEval lane count up to GOMAXPROCS 4, at a fraction
-// of the cost of the full evaluation runs, which
+// 16384-record trace chunks plus a partial one: enough chunks to cross
+// chunk and spill boundaries many times, at a fraction of the cost of the
+// full evaluation runs, which
 // TestFusedTraceFilesMatchScalarRecord and the committed-output oracle
 // cover end to end.
 const oracleSteps = 6<<14 + 777
@@ -232,10 +232,10 @@ const oracleSteps = 6<<14 + 777
 // kernels over the batches, scalar-only consumers over their materialized
 // records), and one MultiEval pass over every scheme. One comparison
 // thereby covers fused against per-record recording, batch kernels against
-// their per-record
-// Consume, the encoder and decoder, spill readback, decode-ahead and
-// MultiEval lanes. The thresholds are diffContext's two-point sweep, and
-// every run stops after oracleSteps instructions.
+// their per-record Consume, the encoder and decoder, spill readback and the
+// MultiEval fan-out, none of which may depend on GOMAXPROCS. The thresholds
+// are diffContext's two-point sweep, and every run stops after oracleSteps
+// instructions.
 func TestReplayBitIdenticalToReexecution(t *testing.T) {
 	ctx := diffContext(0)
 	schemes := oracleSchemes(ctx.Thresholds)

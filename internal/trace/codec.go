@@ -317,14 +317,12 @@ func (d *chunkDecoder) init(data []byte, firstSeq int64, format Format, withSeq,
 
 // The chunk decoder delivers a chunk in record ranges. A full 16K-record
 // chunk decodes into ~640 KiB of int64 columns — far past L1/L2 — so when
-// decode and consume share one core (the inline walk path), whole-chunk
+// decode and consume share one core (as in every replay walk), whole-chunk
 // decode streams every column through outer cache twice: once written by
 // the decoder, once read back cold by the consumer. streamBatch instead
 // decodes and delivers the chunk in batchBlock-record sub-batches whose
 // columns stay cache-resident between the decode loop and the consumer's
-// kernel. The multi-core lane walk decodes whole chunks (decodeBatch):
-// there the decode runs on other cores and pipelining already hides it.
-// The file reader decodes its smaller frames whole too.
+// kernel. The file reader decodes its smaller frames whole (decodeBatch).
 const batchBlock = 2048
 
 // Column layout kinds, established by one cheap prescan per column. The
@@ -639,18 +637,13 @@ func (d *chunkDecoder) streamBatch(b *Batch, fn func(*Batch)) error {
 	}
 }
 
-// decodeRecorded decodes a chunk the Recorder encoded itself: whole into b
-// when fn is nil (a decode lane hands b on), otherwise through fn in
+// decodeRecorded decodes a chunk the Recorder encoded itself through fn in
 // sub-batches. Failure would mean memory or spill-file corruption.
 func decodeRecorded(b *Batch, data []byte, firstSeq int64, fn func(*Batch)) {
 	var d chunkDecoder
 	err := d.init(data, firstSeq, FormatV3, true, false)
 	if err == nil {
-		if fn == nil {
-			err = d.decodeBatch(b)
-		} else {
-			err = d.streamBatch(b, fn)
-		}
+		err = d.streamBatch(b, fn)
 	}
 	if err != nil {
 		panic("trace: corrupt recorded chunk: " + err.Error())

@@ -257,7 +257,7 @@ func (s *ColumnSink) FlushColumns() *RecordColumns {
 	if s.ahead != nil {
 		s.ahead.check()
 		s.ahead.submit(st)
-		st = s.ahead.acquire(nil)
+		st = s.ahead.acquire()
 		s.st = st
 	} else {
 		s.batch.viewStage(st)

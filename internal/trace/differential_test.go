@@ -3,7 +3,6 @@ package trace
 import (
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -128,22 +127,17 @@ func TestColumnarMatchesAoSMultiEval(t *testing.T) {
 // memory budgets — fully resident, partially spilled, fully spilled — and
 // requires every mode to be bit-identical to the unbudgeted recorder. It
 // runs over two trace lengths: a multi-chunk trace, and a one-chunk trace
-// spilled whole at GOMAXPROCS=2, where replay has no decode-ahead lanes and
-// reads the spilled chunk inline.
+// that Seal encodes and spills whole.
 func TestSpilledMatchesResident(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		n       int
 		budgets []int64
-		procs   int // 0 leaves GOMAXPROCS as it is
 	}{
 		{name: "multi-chunk", n: 4*recorderChunkSize + 123, budgets: []int64{1, 64 << 10, 1 << 20}},
-		{name: "one-chunk", n: recorderChunkSize/2 + 123, budgets: []int64{1}, procs: 2},
+		{name: "one-chunk", n: recorderChunkSize/2 + 123, budgets: []int64{1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.procs > 0 {
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
-			}
 			checkSpilledMatchesResident(t, tc.n, tc.budgets)
 		})
 	}

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"runtime"
 	"slices"
 	"sync"
 
@@ -60,10 +59,9 @@ type GroupConsumer interface {
 // multi-megabyte buffer. Every consumer still observes exactly the record
 // sequence its own ReplayDirs/Replay call would have produced —
 // configurations share nothing, so the tiling granularity is unobservable.
-// For the same reason configurations are evaluated in parallel lanes on
-// multi-core machines (see evalPass) without changing any result.
+// The pass runs on the calling goroutine.
 //
-// Directive patching writes to per-lane scratch, never to the recorded
+// Directive patching writes to per-pass scratch, never to the recorded
 // chunks, so concurrent MultiEval/Replay calls on one sealed Recorder are
 // safe. Consumers receive records under the standard read-only,
 // duration-of-the-call contract.
@@ -71,25 +69,24 @@ func (rc *Recorder) MultiEval(cfgs ...EvalConfig) int64 {
 	if len(cfgs) == 0 {
 		return 0
 	}
-	rc.evalPass(cfgs, runtime.GOMAXPROCS(0))
+	rc.evalPass(cfgs)
 	return int64(len(cfgs) - 1)
 }
 
 // evalPass is one replay pass — Replay, ReplayDirs or MultiEval: one walk
-// over the stream, every batch evaluated by every configuration through a
-// lanePass. The lanes' kernels of one chunk run in parallel while the
-// decode-ahead lanes (walkPipe) decode the next.
-func (rc *Recorder) evalPass(cfgs []EvalConfig, maxLanes int) {
+// over the stream on the calling goroutine, every batch evaluated by every
+// configuration through a one-lane lanePass.
+func (rc *Recorder) evalPass(cfgs []EvalConfig) {
 	rc.passes.Add(1)
-	rc.drainEncode()
 	var p lanePass
-	p.start(cfgs, maxLanes)
+	p.start(cfgs, 1)
 	defer p.stop()
 	rc.walk(p.eval)
 }
 
-// lanePass is the fan-out shared by replay passes and ColumnSinks: the
-// configurations are dealt round-robin into min(maxLanes, len(cfgs)) lanes.
+// lanePass is the fan-out shared by replay passes (always one lane) and
+// ColumnSinks: the configurations are dealt round-robin into
+// min(maxLanes, len(cfgs)) lanes.
 // If any configuration is a per-record consumer, each batch is first
 // materialized once into Records that every lane reads. Lane 0 runs on the
 // goroutine that calls eval, the others on goroutines of their own that

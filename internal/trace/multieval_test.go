@@ -10,8 +10,8 @@ import (
 
 // TestMultiEvalMatchesSeparateReplays: each configuration of a MultiEval
 // pass must observe exactly the record stream its own Replay/ReplayDirs
-// call would have produced — at 1, 2 and 4 procs (one lane, and
-// configurations dealt over several lanes), for 1 to 7 configurations
+// call would have produced — at 1, 2 and 4 procs, which must not change the
+// one-lane pass, for 1 to 7 configurations
 // mixing batch and scalar consumers, on a sealed trace, on an unsealed one
 // with a staged tail, and on an unsealed one that is all tail.
 func TestMultiEvalMatchesSeparateReplays(t *testing.T) {
@@ -110,8 +110,8 @@ type panicBatch struct{ capture }
 
 func (panicBatch) ConsumeBatch(*Batch) { panic("boom") }
 
-// TestMultiEvalLanePanic: a consumer panic on any lane reaches the caller,
-// after every lane has stopped.
+// TestMultiEvalLanePanic: a consumer panic in any configuration of the pass
+// reaches the caller.
 func TestMultiEvalLanePanic(t *testing.T) {
 	rc := NewRecorder()
 	for i := int64(0); i < 3*recorderChunkSize+5; i++ {
@@ -119,7 +119,6 @@ func TestMultiEvalLanePanic(t *testing.T) {
 		rc.Consume(&r)
 	}
 	rc.Seal()
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for bad := 0; bad < 4; bad++ {
 		cfgs := make([]EvalConfig, 4)
 		for j := range cfgs {
@@ -193,8 +192,10 @@ func (c *groupCapture) ConsumeGroup(_ *Batch, group []GroupConsumer) {
 // TestMultiEvalGroups: a pass groups the GroupConsumers of one lane that
 // share a non-nil key — each prepared with its own directive column, then
 // scheduled in one ConsumeGroup call per batch — and runs consumers with a
-// nil key through ConsumeBatch, at 1, 2 and 4 procs. A consumer listed
-// twice in one lane is never grouped with itself.
+// nil key through ConsumeBatch. MultiEval runs one lane at any proc count;
+// an evaluation sink deals its configurations over GOMAXPROCS lanes; both
+// are checked at 1, 2 and 4 procs. A consumer listed twice in one lane is
+// never grouped with itself.
 func TestMultiEvalGroups(t *testing.T) {
 	rc := NewRecorder()
 	for i := int64(0); i < 2*recorderChunkSize+77; i++ {
@@ -213,55 +214,66 @@ func TestMultiEvalGroups(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
-		lanes := min(procs, len(keys))
-		cs := make([]*groupCapture, len(keys))
-		cfgs := make([]EvalConfig, len(keys))
-		for j, key := range keys {
-			cs[j] = &groupCapture{key: key}
-			cfgs[j].Consumer = cs[j]
-			if j%2 == 1 {
-				cfgs[j].Dirs = dirs
+		for _, sink := range []bool{false, true} {
+			lanes := 1
+			if sink {
+				lanes = min(procs, len(keys))
 			}
-		}
-		if procs == 1 {
-			// The first consumer again, on its own lane: the pass runs
-			// it twice per batch.
-			cfgs = append(cfgs, cfgs[0])
-		}
-		rc.MultiEval(cfgs...)
-		for j, c := range cs {
-			want := plain.recs
-			if j%2 == 1 {
-				want = patched.recs
-			}
-			if j == 0 && procs == 1 {
-				// Each batch twice in a row: once in the group, once alone.
-				want = nil
-				for i, lo := 0, 0; i+1 < len(c.sizes); i += 2 {
-					chunk := plain.recs[lo : lo+c.sizes[i]]
-					want, lo = append(append(want, chunk...), chunk...), lo+c.sizes[i]
-				}
-				if len(want) != 2*len(plain.recs) || c.groups[1] != 1 {
-					t.Fatalf("procs=%d: repeated consumer saw %d records for %d, groups %v",
-						procs, len(want), len(plain.recs), c.groups[:2])
+			cs := make([]*groupCapture, len(keys))
+			cfgs := make([]EvalConfig, len(keys))
+			for j, key := range keys {
+				cs[j] = &groupCapture{key: key}
+				cfgs[j].Consumer = cs[j]
+				if j%2 == 1 {
+					cfgs[j].Dirs = dirs
 				}
 			}
-			if !slices.Equal(c.recs, want) {
-				t.Fatalf("procs=%d: consumer %d stream differs from its separate replay", procs, j)
+			if lanes == 1 {
+				// The first consumer again, in the same lane: the pass runs
+				// it twice per batch.
+				cfgs = append(cfgs, cfgs[0])
 			}
-			same := 0
-			for i, key := range keys {
-				if key != nil && key == c.key && i%lanes == j%lanes {
-					same++
+			if sink {
+				s := NewEvalSink(cfgs...)
+				feedColumns(s, plain.recs)
+				s.Close()
+			} else {
+				rc.MultiEval(cfgs...)
+			}
+			for j, c := range cs {
+				want := plain.recs
+				if j%2 == 1 {
+					want = patched.recs
 				}
-			}
-			switch {
-			case c.key == nil && (c.alone != c.batches || len(c.groups) != 0):
-				t.Errorf("procs=%d: nil-key consumer %d ran %d batches alone of %d, in %d groups",
-					procs, j, c.alone, c.batches, len(c.groups))
-			case c.key != nil && (c.alone != 0 || len(c.groups) != c.batches || c.groups[0] != same):
-				t.Errorf("procs=%d: consumer %d with key %v: %d batches alone, groups %v, want a group of %d per batch",
-					procs, j, c.key, c.alone, c.groups, same)
+				if j == 0 && lanes == 1 {
+					// Each batch twice in a row: once in the group, once alone.
+					want = nil
+					for i, lo := 0, 0; i+1 < len(c.sizes); i += 2 {
+						chunk := plain.recs[lo : lo+c.sizes[i]]
+						want, lo = append(append(want, chunk...), chunk...), lo+c.sizes[i]
+					}
+					if len(want) != 2*len(plain.recs) || c.groups[1] != 1 {
+						t.Fatalf("procs=%d sink=%v: repeated consumer saw %d records for %d, groups %v",
+							procs, sink, len(want), len(plain.recs), c.groups[:2])
+					}
+				}
+				if !slices.Equal(c.recs, want) {
+					t.Fatalf("procs=%d sink=%v: consumer %d stream differs from its separate replay", procs, sink, j)
+				}
+				same := 0
+				for i, key := range keys {
+					if key != nil && key == c.key && i%lanes == j%lanes {
+						same++
+					}
+				}
+				switch {
+				case c.key == nil && (c.alone != c.batches || len(c.groups) != 0):
+					t.Errorf("procs=%d sink=%v: nil-key consumer %d ran %d batches alone of %d, in %d groups",
+						procs, sink, j, c.alone, c.batches, len(c.groups))
+				case c.key != nil && (c.alone != 0 || len(c.groups) != c.batches || c.groups[0] != same):
+					t.Errorf("procs=%d sink=%v: consumer %d with key %v: %d batches alone, groups %v, want a group of %d per batch",
+						procs, sink, j, c.key, c.alone, c.groups, same)
+				}
 			}
 		}
 	}

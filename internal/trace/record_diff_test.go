@@ -5,12 +5,11 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 )
 
-// This file covers the record side: column staging, the encode-ahead
-// pipeline and the trace-file Writer's producer paths. Byte identity of
+// This file covers the record side: column staging, the ColumnSink and the
+// trace-file Writer's producer paths. Byte identity of
 // real recordings is pinned by the golden trace hash in internal/experiments.
 
 // colsOf stages recs into a fresh column stage, as a per-record producer
@@ -89,19 +88,6 @@ func widthStreams() map[string][]Record {
 	}
 }
 
-// chunkBytes seals rc and collects every encoded chunk (copied, since walk
-// buffers are recycled).
-func chunkBytes(t *testing.T, rc *Recorder) [][]byte {
-	t.Helper()
-	rc.Seal()
-	var chunks [][]byte
-	var b Batch // spill readback scratch
-	for i := range rc.chunks {
-		chunks = append(chunks, append([]byte(nil), rc.chunkData(&rc.chunks[i], &b)...))
-	}
-	return chunks
-}
-
 // TestColumnSinkMatchesScalarDelivery checks the ColumnSink adapter: a scalar
 // record stream pushed through a sink must deliver the same records (as
 // batches) that direct per-record consumption observes, including the
@@ -121,53 +107,6 @@ func TestColumnSinkMatchesScalarDelivery(t *testing.T) {
 	sink.Close()
 	if !reflect.DeepEqual(want.recs, got.recs) {
 		t.Fatal("ColumnSink delivery differs from direct scalar consumption")
-	}
-}
-
-// TestEncodeAheadPipelineMatchesSequential forces the encode-ahead pipeline on
-// (GOMAXPROCS > 1) and requires its chunks to be byte-identical to the
-// sequential inline encoder's, in order, with the observability counters
-// consistent.
-func TestEncodeAheadPipelineMatchesSequential(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	const n = 5*recorderChunkSize + 77
-	rng := rand.New(rand.NewSource(31))
-	recs := make([]Record, n)
-	for i := range recs {
-		recs[i] = randomRecord(rng, int64(i))
-	}
-	piped := NewRecorder()
-	for i := range recs {
-		piped.Consume(&recs[i])
-	}
-	if piped.ahead == nil {
-		t.Fatal("encode-ahead pipeline did not start at GOMAXPROCS=4")
-	}
-	// Pre-seal accessors must observe drained, ordered state.
-	piped.drainEncode()
-	if got := piped.ChunksEncoded(); got != 5 {
-		t.Fatalf("ChunksEncoded after drain = %d, want 5", got)
-	}
-	if piped.EncodeTime() <= 0 {
-		t.Error("EncodeTime = 0 after five encoded chunks")
-	}
-	if piped.EncodeStalls() < 0 {
-		t.Error("negative stall count")
-	}
-
-	seq := NewRecorder()
-	seq.aheadOff = true // sequential fallback, same machine
-	for i := range recs {
-		seq.Consume(&recs[i])
-	}
-	got, want := chunkBytes(t, piped), chunkBytes(t, seq)
-	if len(got) != len(want) {
-		t.Fatalf("pipelined wrote %d chunks, sequential %d", len(got), len(want))
-	}
-	for i := range got {
-		if !bytes.Equal(got[i], want[i]) {
-			t.Fatalf("chunk %d differs between pipelined and sequential encode", i)
-		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,14 +48,13 @@ type rchunk struct {
 }
 
 // Recorder is a Consumer that captures the stream for later replay.
-// Recording is single-threaded (one producer; until Seal the storage
-// accessors and replays belong to the recording goroutine too, and report
-// exactly what the sequential path would), but a finished Recorder is
-// immutable and Replay/ReplayDirs/MultiEval may be called concurrently from
-// multiple goroutines. Owners that share a Recorder across goroutines (the
-// experiments context, the vpserve trace cache) must Seal it first: sealing
-// marks recording complete, turns any further Consume into a panic, and
-// documents the immutability the concurrent replays rely on. Replay hands
+// Recording, chunk encoding and spilling run on the producing goroutine
+// (until Seal the storage accessors and replays belong to it too), but a
+// finished Recorder is immutable and Replay/ReplayDirs/MultiEval may be
+// called concurrently from multiple goroutines. Owners that share a
+// Recorder across goroutines (the experiments context) must Seal it first:
+// sealing marks recording complete, turns any further Consume into a panic,
+// and documents the immutability the concurrent replays rely on. Replay hands
 // records out by pointer under a strict read-only, duration-of-the-call
 // contract (the same contract as a live run); the -race stress tests in
 // internal/experiments drive every replay path from many goroutines to
@@ -65,7 +63,7 @@ type Recorder struct {
 	cols     *RecordColumns // staging columns of the chunk being filled
 	enc      *chunkEncoder
 	chunks   []rchunk
-	nFlushed int64 // records in flushed (encoded or encode-queued) chunks
+	nFlushed int64 // records in flushed (encoded) chunks
 
 	memBudget     int64 // resident encoded-bytes budget; <=0 = fully resident
 	residentBytes int64 // encoded bytes currently held in memory
@@ -74,19 +72,7 @@ type Recorder struct {
 	spilledChunks int64
 	chunksEncoded int64
 	spill         *spillFile
-
-	// While the encode-ahead pipeline is live, appendEncoded writes the
-	// encoded-chunk state above (chunks through spill) on the encoder
-	// goroutine. Every reader of that state — the accessors, replays,
-	// SetMemBudget and Seal — first drains the pipeline (drainEncode), so
-	// it observes every flushed chunk and the drain's channel round trip
-	// orders the encoder's writes before the read. Once sealed (or on the
-	// sequential path) everything is synchronous and immutable.
-	ahead       *stageAhead  // background chunk encoder; nil on the sequential path
-	inflight    bool         // stages submitted to ahead since the last drain
-	aheadOff    bool         // pipeline decision made: encode inline
-	stalls      atomic.Int64 // flushes that blocked waiting for a free stage
-	encodeNanos atomic.Int64 // cumulative chunk-encode wall time
+	encodeNanos   int64 // cumulative chunk-encode wall time
 
 	sealed bool
 	passes atomic.Int64 // full replay passes over the buffer, for amortization accounting
@@ -99,31 +85,20 @@ func NewRecorder() *Recorder { return &Recorder{} }
 // memory; chunks encoded past the budget spill to a temporary file (deleted
 // on creation, so it can never outlive the process) and stream back during
 // replay. A budget ≤ 0 keeps everything resident. The budget governs chunks
-// flushed after the call (chunks already flushed are encoded under the old
-// one first), so set it before recording; the ~0.9 MiB staging buffer for
-// the chunk being filled is not counted against it.
-func (rc *Recorder) SetMemBudget(bytes int64) {
-	rc.drainEncode()
-	rc.memBudget = bytes
-}
+// flushed after the call, so set it before recording; the ~0.9 MiB staging
+// buffer for the chunk being filled is not counted against it.
+func (rc *Recorder) SetMemBudget(bytes int64) { rc.memBudget = bytes }
 
 // ChunksEncoded reports how many chunks have been encoded so far (resident
 // or spilled), the unit of the record-side observability metrics.
-func (rc *Recorder) ChunksEncoded() int64 {
-	rc.drainEncode()
-	return rc.chunksEncoded
-}
+func (rc *Recorder) ChunksEncoded() int64 { return rc.chunksEncoded }
 
-// EncodeStalls reports how many chunk flushes blocked waiting for the
-// encode-ahead pipeline to free a stage — the backpressure signal that the
-// encoder, not the execution loop, is the recording bottleneck.
-func (rc *Recorder) EncodeStalls() int64 { return rc.stalls.Load() }
+// EncodeStalls always returns 0: chunks are encoded inline, so a flush
+// never waits for an encoder.
+func (rc *Recorder) EncodeStalls() int64 { return 0 }
 
-// EncodeTime reports the cumulative wall time spent encoding chunks
-// (whether inline or on the encode-ahead goroutine).
-func (rc *Recorder) EncodeTime() time.Duration {
-	return time.Duration(rc.encodeNanos.Load())
-}
+// EncodeTime reports the cumulative wall time spent encoding chunks.
+func (rc *Recorder) EncodeTime() time.Duration { return time.Duration(rc.encodeNanos) }
 
 // Passes reports how many full replay passes have walked the recorded
 // buffer (Replay, ReplayDirs and MultiEval each count one, however many
@@ -146,44 +121,32 @@ func (rc *Recorder) Len() int64 { return rc.nFlushed + int64(rc.stagedLen()) }
 // trace: the encoded chunks still held in memory plus the staging buffer.
 // Spilled chunks do not count.
 func (rc *Recorder) Bytes() int64 {
-	rc.drainEncode()
 	return rc.residentBytes + int64(rc.stagedLen())*recordMemBytes
 }
 
 // EncodedBytes returns the total encoded size of all flushed chunks,
 // resident and spilled. Records still in the staging buffer (at most one
 // partial chunk; none once sealed) are not yet encoded.
-func (rc *Recorder) EncodedBytes() int64 {
-	rc.drainEncode()
-	return rc.encodedBytes
-}
+func (rc *Recorder) EncodedBytes() int64 { return rc.encodedBytes }
 
 // BytesResident returns the encoded bytes currently held in memory.
-func (rc *Recorder) BytesResident() int64 {
-	rc.drainEncode()
-	return rc.residentBytes
-}
+func (rc *Recorder) BytesResident() int64 { return rc.residentBytes }
 
 // ReplayResidentBytes returns the peak in-memory working set of one replay
 // pass over the flushed chunks: the resident encoded bytes plus, when any
-// chunk has spilled, one chunk-sized read buffer per batch the walk holds —
-// one on the inline walk, two per decode lane on the pipelined walk (see
+// chunk has spilled, the one chunk-sized read buffer the walk holds (see
 // walkPipe). This is the honest per-pass memory figure for a spilled trace,
 // where BytesResident alone would report a misleading zero.
 func (rc *Recorder) ReplayResidentBytes() int64 {
-	rc.drainEncode()
 	b := rc.residentBytes
 	if rc.spilledChunks > 0 {
-		b += int64(max(1, 2*decodeLanes(len(rc.chunks)))) * rc.maxChunkBytes
+		b += rc.maxChunkBytes
 	}
 	return b
 }
 
 // SpilledChunks returns how many chunks were written to the spill file.
-func (rc *Recorder) SpilledChunks() int64 {
-	rc.drainEncode()
-	return rc.spilledChunks
-}
+func (rc *Recorder) SpilledChunks() int64 { return rc.spilledChunks }
 
 // Seal marks recording complete: the staging buffer is encoded and released,
 // further Consume panics, and the Recorder may be replayed concurrently from
@@ -195,19 +158,10 @@ func (rc *Recorder) Seal() {
 	if rc.sealed {
 		return
 	}
-	if rc.ahead != nil {
-		// Stop the encode-ahead pipeline first: it drains every queued
-		// stage in order, so the inline tail encode below lands last.
-		p := rc.ahead.stop()
-		rc.ahead = nil
-		if p != nil {
-			panic(p)
-		}
-	}
 	if rc.cols != nil {
 		if rc.cols.N > 0 {
 			rc.nFlushed += int64(rc.cols.N)
-			rc.encodeStage(rc.encoder(), rc.cols)
+			rc.encodeStage(rc.cols)
 		}
 		putCols(rc.cols)
 		rc.cols = nil
@@ -278,27 +232,16 @@ func (rc *Recorder) ColumnStage() *RecordColumns {
 	return rc.cols
 }
 
-// FlushColumns seals the filled column stage into one encoded chunk and
-// returns the stage to continue appending into. On multi-core machines the
-// stage is handed to the encode-ahead pipeline and a recycled stage comes
-// back immediately, overlapping execution with compression and spill
-// writes; single-core machines encode inline (same chunks, same order,
-// byte-identical output).
+// FlushColumns encodes the filled column stage into one chunk, retaining or
+// spilling it, and returns the emptied stage to continue appending into.
 func (rc *Recorder) FlushColumns() *RecordColumns {
 	st := rc.cols
 	if st == nil || st.N == 0 {
 		return rc.ColumnStage()
 	}
 	rc.nFlushed += int64(st.N)
-	if rc.pipeline() {
-		rc.ahead.submit(st)
-		rc.inflight = true
-		st = rc.ahead.acquire(&rc.stalls)
-		rc.cols = st
-	} else {
-		rc.encodeStage(rc.encoder(), st)
-		st.N = 0
-	}
+	rc.encodeStage(st)
+	st.N = 0
 	st.FirstSeq = rc.nFlushed
 	return st
 }
@@ -307,26 +250,6 @@ func (rc *Recorder) FlushColumns() *RecordColumns {
 // stage stays staged (replayable as the tail, encoded at Seal), so there is
 // nothing to do.
 func (rc *Recorder) FlushTail() {}
-
-// pipeline reports whether chunk encoding runs on the encode-ahead
-// goroutine, starting it on first use. The pipeline only helps when another
-// CPU can run the encoder; at GOMAXPROCS=1 it is pure scheduling overhead,
-// so the flush encodes inline — the sequential fallback.
-func (rc *Recorder) pipeline() bool {
-	if rc.ahead != nil {
-		return true
-	}
-	if rc.aheadOff {
-		return false
-	}
-	if runtime.GOMAXPROCS(0) > 1 {
-		enc := rc.encoder() // owned by the encoder goroutine until Seal stops it
-		rc.ahead = startAhead(func(st *RecordColumns) { rc.encodeStage(enc, st) })
-		return true
-	}
-	rc.aheadOff = true
-	return false
-}
 
 // encoder returns the recorder-owned chunk encoder, pooled across
 // Recorders.
@@ -338,23 +261,12 @@ func (rc *Recorder) encoder() *chunkEncoder {
 }
 
 // encodeStage encodes one full column stage and retains or spills it.
-func (rc *Recorder) encodeStage(enc *chunkEncoder, st *RecordColumns) {
+func (rc *Recorder) encodeStage(st *RecordColumns) {
 	start := time.Now()
+	enc := rc.encoder()
 	enc.buf = enc.encodeCols(enc.buf[:0], st, true)
 	rc.appendEncoded(enc.buf, st.N)
-	rc.encodeNanos.Add(int64(time.Since(start)))
-}
-
-// drainEncode blocks until every stage handed to the encode-ahead pipeline
-// has been encoded, so an unsealed replay or accessor observes all flushed
-// chunks exactly as the sequential path would. No-op on the sequential path,
-// after Seal, and when nothing was submitted since the last drain. Like
-// recording itself it runs on the recording goroutine.
-func (rc *Recorder) drainEncode() {
-	if rc.ahead != nil && rc.inflight {
-		rc.ahead.drain()
-		rc.inflight = false
-	}
+	rc.encodeNanos += int64(time.Since(start))
 }
 
 // encoderPool recycles chunkEncoders — their per-column scratch and the
@@ -365,9 +277,7 @@ func (rc *Recorder) drainEncode() {
 var encoderPool = sync.Pool{New: func() any { return new(chunkEncoder) }}
 
 // appendEncoded retains one encoded chunk resident — or spills it when past
-// the memory budget — and appends it to the chunk index. Called inline or
-// from the encode-ahead goroutine, always in stream order; readers drain
-// the pipeline before looking (see drainEncode).
+// the memory budget — and appends it to the chunk index, in stream order.
 func (rc *Recorder) appendEncoded(data []byte, n int) {
 	c := rchunk{size: int32(len(data)), n: int32(n)}
 	rc.encodedBytes += int64(len(data))
@@ -407,137 +317,24 @@ func (rc *Recorder) chunkData(c *rchunk, b *Batch) []byte {
 	return rc.spill.read(c, b.spillBuf(int(c.size)))
 }
 
-// decodeLanes picks the decode-ahead width for a replay pass: one lane per
-// spare CPU up to six (the chunk transpose costs ~16 ns/record against
-// ~3 ns/record of consumer dispatch, so walkonly replay needs five-plus
-// lanes before the decode fully hides; heavier consumers saturate sooner),
-// zero — the inline sequential path — when the machine is single-core or
-// the trace too small to pipeline.
-func decodeLanes(nchunks int) int {
-	w := runtime.GOMAXPROCS(0) - 1
-	if w > 6 {
-		w = 6
-	}
-	if w > nchunks-1 {
-		w = nchunks - 1
-	}
-	if w < 1 {
-		return 0
-	}
-	return w
-}
-
 // walkPipe streams every flushed chunk through fn as decoded column
-// Batches, in record order. Each batch is valid only until fn returns —
-// every column is rewritten on the next decode; its byte columns alias
-// either the immutable resident chunk or the batch-owned spill scratch, so
-// concurrent replays never share mutable state. On multi-core machines the
-// decode runs ahead of the consumer on a small pool of worker lanes — chunk
-// i is decoded whole on lane i%lanes while the consumer walks earlier
-// batches, so the per-record cost of the consume loop approaches the raw
-// in-memory walk and the decode hides behind it. Each lane owns two
-// batches (decode one while the consumer holds the other); delivery is
-// strictly round-robin, which keeps record order without any reordering
-// buffer. Spilled chunks are read back by the lane that decodes them
-// (positional reads are independent) into batch-owned scratch. Single-core
-// or tiny traces decode inline into one batch, delivering each chunk as
-// cache-resident sub-batches (see streamBatch).
+// Batches, in record order, on the calling goroutine: one pooled batch,
+// each chunk delivered as cache-resident sub-batches (see decodeRecorded).
+// Each batch is valid only until fn returns — every column is rewritten on
+// the next decode; its byte columns alias either the immutable resident
+// chunk or the batch-owned spill scratch, so concurrent replays never share
+// mutable state.
 func (rc *Recorder) walkPipe(fn func(*Batch)) {
-	nchunks := len(rc.chunks)
-	if nchunks == 0 {
+	if len(rc.chunks) == 0 {
 		return
 	}
-	lanes := decodeLanes(nchunks)
-	if lanes == 0 {
-		b := getBatch()
-		defer putBatch(b)
-		var firstSeq int64
-		for i := range rc.chunks {
-			c := &rc.chunks[i]
-			decodeRecorded(b, rc.chunkData(c, b), firstSeq, fn)
-			firstSeq += int64(c.n)
-		}
-		return
-	}
-
-	firstSeqs := make([]int64, nchunks)
-	var fs int64
+	b := getBatch()
+	defer putBatch(b)
+	var firstSeq int64
 	for i := range rc.chunks {
-		firstSeqs[i] = fs
-		fs += int64(rc.chunks[i].n)
-	}
-
-	type lane struct {
-		out  chan *Batch // decoded batches, in this lane's chunk order
-		free chan *Batch // batches returned by the consumer
-	}
-	ls := make([]lane, lanes)
-	done := make(chan struct{})
-	panics := make(chan any, lanes)
-	var wg sync.WaitGroup
-	for w := range ls {
-		ls[w] = lane{out: make(chan *Batch, 1), free: make(chan *Batch, 2)}
-		ls[w].free <- getBatch()
-		ls[w].free <- getBatch()
-		wg.Add(1)
-		go func(w int, ln lane) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					panics <- p
-					close(ln.out)
-				}
-			}()
-			for i := w; i < nchunks; i += lanes {
-				var b *Batch
-				select {
-				case b = <-ln.free:
-				case <-done:
-					return
-				}
-				decodeRecorded(b, rc.chunkData(&rc.chunks[i], b), firstSeqs[i], nil)
-				select {
-				case ln.out <- b:
-				case <-done:
-					return
-				}
-			}
-			close(ln.out)
-		}(w, ls[w])
-	}
-	defer func() {
-		close(done)
-		wg.Wait()
-		// Return every batch still parked in a lane to the pool. A lane
-		// that aborted mid-decode keeps its batch; the GC reclaims it.
-		for _, ln := range ls {
-			for {
-				select {
-				case b := <-ln.free:
-					putBatch(b)
-					continue
-				default:
-				}
-				select {
-				case b, ok := <-ln.out:
-					if ok {
-						putBatch(b)
-						continue
-					}
-				default:
-				}
-				break
-			}
-		}
-	}()
-	for i := 0; i < nchunks; i++ {
-		ln := ls[i%lanes]
-		b, ok := <-ln.out
-		if !ok {
-			panic(<-panics)
-		}
-		fn(b)
-		ln.free <- b
+		c := &rc.chunks[i]
+		decodeRecorded(b, rc.chunkData(c, b), firstSeq, fn)
+		firstSeq += int64(c.n)
 	}
 }
 
@@ -577,14 +374,13 @@ func (rc *Recorder) ReplayDirs(dirs []isa.Directive, consumers ...Consumer) {
 }
 
 // replay is one Replay/ReplayDirs pass: every consumer is a configuration
-// under the same directive table (nil: the plain recorded stream), all in
-// one lane.
+// under the same directive table (nil: the plain recorded stream).
 func (rc *Recorder) replay(dirs []isa.Directive, consumers []Consumer) {
 	cfgs := make([]EvalConfig, len(consumers))
 	for i, c := range consumers {
 		cfgs[i] = EvalConfig{Dirs: dirs, Consumer: c}
 	}
-	rc.evalPass(cfgs, 1)
+	rc.evalPass(cfgs)
 }
 
 // DirsOf extracts the per-address directive table of a text segment, the

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/isa"
@@ -204,4 +205,64 @@ func TestRecorderSeal(t *testing.T) {
 		}
 	}()
 	rc.Consume(&r)
+}
+
+// goroutineProbe is a per-record consumer that notes the highest goroutine
+// count it observes; batchProbe does the same per batch.
+type goroutineProbe struct{ peak int }
+
+func (p *goroutineProbe) Consume(*Record) { p.peak = max(p.peak, runtime.NumGoroutine()) }
+
+type batchProbe struct{ goroutineProbe }
+
+func (p *batchProbe) ConsumeBatch(*Batch) { p.peak = max(p.peak, runtime.NumGoroutine()) }
+
+// TestRecordAndReplayStartNoGoroutines: at GOMAXPROCS=4 a Recorder records
+// several chunks, and Replay, ReplayDirs and MultiEval replay them over a
+// resident and a spilled trace, without starting a goroutine — the count
+// is checked after every recorded record and, from inside the consumers,
+// throughout every replay pass.
+func TestRecordAndReplayStartNoGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	base := runtime.NumGoroutine()
+	dirs := make([]isa.Directive, 500)
+	for i := range dirs {
+		dirs[i] = isa.DirStride
+	}
+	for _, budget := range []int64{0, 1} {
+		rc := NewRecorder()
+		rc.SetMemBudget(budget)
+		for i := int64(0); i < 3*recorderChunkSize+5; i++ {
+			r := synthRecord(i)
+			rc.Consume(&r)
+			if n := runtime.NumGoroutine(); n > base {
+				t.Fatalf("budget %d: %d goroutines after recording record %d, want %d", budget, n, i, base)
+			}
+		}
+		rc.Seal()
+		if budget > 0 && rc.SpilledChunks() == 0 {
+			t.Fatal("1-byte budget spilled nothing")
+		}
+		for _, pass := range []struct {
+			name string
+			run  func(scalar, batch Consumer)
+		}{
+			{"Replay", func(scalar, batch Consumer) { rc.Replay(scalar, batch) }},
+			{"ReplayDirs", func(scalar, batch Consumer) { rc.ReplayDirs(dirs, scalar, batch) }},
+			{"MultiEval", func(scalar, batch Consumer) {
+				rc.MultiEval(EvalConfig{Consumer: scalar}, EvalConfig{Dirs: dirs, Consumer: batch},
+					EvalConfig{Dirs: dirs, Consumer: &goroutineProbe{}}, EvalConfig{Consumer: &batchProbe{}})
+			}},
+		} {
+			var scalar goroutineProbe
+			var batch batchProbe
+			pass.run(&scalar, &batch)
+			for _, peak := range []int{scalar.peak, batch.peak} {
+				if peak == 0 || peak > base {
+					t.Errorf("budget %d: %s ran with up to %d goroutines, want %d", budget, pass.name, peak, base)
+				}
+			}
+		}
+		rc.Close()
+	}
 }

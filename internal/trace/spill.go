@@ -9,8 +9,8 @@ import (
 // Encoded chunks past the resident-bytes budget are appended to an
 // anonymous temp file and read back with positional reads during replay,
 // so a trace larger than RAM replays at near-resident speed: the decode
-// touches only the ~10 bytes/record encoded form, and on multi-core
-// machines each decode-ahead lane reads the chunks it decodes (walkPipe).
+// touches only the ~10 bytes/record encoded form, read back one chunk at a
+// time into the walk's batch (walkPipe).
 
 // spillFile is an append-only, positionally-read temp file. The file is
 // unlinked immediately after creation, so it is reclaimed by the kernel

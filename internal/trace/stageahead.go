@@ -1,21 +1,15 @@
 package trace
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-// The stage-ahead pipeline: the write-side mirror of walkPipe. The producing
-// thread hands each filled column stage to a single background goroutine and
-// immediately picks up a recycled stage from a small free list, so filling
-// chunk k+1 overlaps the work on chunk k. One goroutine plus a FIFO channel
-// keeps chunk order, so the work sees exactly the stage sequence the inline
-// path would. Two users run on it: the Recorder's encode-ahead (chunk
-// compression and any spill write, off at GOMAXPROCS=1) and a multi-lane
-// ColumnSink (evaluating the stage through its lanes while the VM runs on).
-// The free list is double-buffered (two spare stages beyond the one being
-// filled); a flush that finds it empty is a stall, which the Recorder
-// counts as its encode backpressure signal (EncodeStalls).
+// The stage-ahead pipeline of a multi-lane ColumnSink (NewEvalSink): the
+// producing thread hands each filled column stage to a single background
+// goroutine, which evaluates it through the sink's lanes, and immediately
+// picks up a recycled stage from a small free list, so the VM fills stage
+// k+1 while the lanes evaluate stage k. One goroutine plus a FIFO channel
+// keeps stage order, so the lanes see exactly the stage sequence the inline
+// path would. The free list is double-buffered (two spare stages beyond the
+// one being filled).
 
 // aheadItem is one unit of background work: a filled stage, or a drain
 // barrier (st nil) whose ack closes once everything queued before it is done.
@@ -49,8 +43,8 @@ func startAhead(fn func(*RecordColumns)) *stageAhead {
 }
 
 // run is the background goroutine: run fn over each stage in arrival order
-// and recycle it to the free list. A panic (a spill-file failure, a
-// consumer's) is captured and re-raised on the producing thread by check;
+// and recycle it to the free list. A consumer panic is captured and
+// re-raised on the producing thread by check;
 // later stages are skipped, not processed against broken state.
 func (a *stageAhead) run() {
 	defer close(a.done)
@@ -96,19 +90,8 @@ func (a *stageAhead) check() {
 // submit queues a filled stage.
 func (a *stageAhead) submit(st *RecordColumns) { a.work <- aheadItem{st: st} }
 
-// acquire returns a free stage to keep filling, counting a stall in stalls
-// (when non-nil) when none is immediately available.
-func (a *stageAhead) acquire(stalls *atomic.Int64) *RecordColumns {
-	select {
-	case st := <-a.free:
-		return st
-	default:
-	}
-	if stalls != nil {
-		stalls.Add(1)
-	}
-	return <-a.free
-}
+// acquire returns a free stage to keep filling, waiting for one if need be.
+func (a *stageAhead) acquire() *RecordColumns { return <-a.free }
 
 // drain blocks until everything submitted so far has been processed (the
 // channel round-trip is the happens-before edge for reading what fn wrote)
@@ -120,9 +103,9 @@ func (a *stageAhead) drain() {
 	a.check()
 }
 
-// stop processes everything queued, terminates the goroutine, returns the
-// pooled stages and reports the captured panic, if any.
-func (a *stageAhead) stop() (failure any) {
+// stop processes everything queued, terminates the goroutine and returns
+// the pooled stages.
+func (a *stageAhead) stop() {
 	close(a.work)
 	<-a.done
 	for {
@@ -130,7 +113,7 @@ func (a *stageAhead) stop() (failure any) {
 		case st := <-a.free:
 			putCols(st)
 		default:
-			return a.failed()
+			return
 		}
 	}
 }

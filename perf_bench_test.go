@@ -62,9 +62,9 @@ func BenchmarkVMStepsRecording(b *testing.B) {
 			b.Fatal(err)
 		}
 		total += n
-		// Seal outside the timed region: it stops the recorder's
-		// encode-ahead goroutine, which otherwise keeps every iteration's
-		// recorder alive for the life of the process.
+		// Seal outside the timed region: it encodes the partial tail
+		// chunk and returns the recorder's stage and encoder to their
+		// pools for the next iteration.
 		b.StopTimer()
 		rec.Seal()
 		b.StartTimer()

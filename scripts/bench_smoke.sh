@@ -10,11 +10,9 @@
 #      trace.Writer produces (VPTRC03) must hold ≥2x fewer on-disk
 #      bytes/record than the 40-byte VPTRC01 record.
 #   3. Walkonly columnar replay: the walk-columnar/walk-aos throughput ratio
-#      (walk-aos walks a plain resident []trace.Record slice) must not
-#      regress versus the committed report; on machines with enough CPUs for
-#      the full decode-ahead pipeline (≥7, giving the replay six decode
-#      lanes) the ratio must additionally be within MAX_WALK_GAP_PCT of the
-#      slice walk outright.
+#      (walk-aos walks a plain resident []trace.Record slice; walk-columnar
+#      decodes and walks the recorded chunks on the same goroutine) must not
+#      regress versus the committed report.
 #   4. Spill-mode replay: the walk-spill overhead over resident walk-columnar
 #      must not regress versus the committed report.
 #   5. Batch column kernels: BenchmarkBatchKernels' walkonly scalar/batch
@@ -44,9 +42,7 @@
 # Ratio gates compare the speedup RATIO, not raw ns/op — the committed
 # report comes from a different machine than CI, so absolute times are
 # incomparable while a ratio (same trace, same binary, same machine) isolates
-# the property itself. Machine-dependent gate decisions (which multi-core
-# ratios the committed numbers can back) read the committed report's own
-# "machine" section rather than re-probing CI hardware. Usage:
+# the property itself. Usage:
 #
 #   scripts/bench_smoke.sh [BENCH_report.json]
 #
@@ -57,8 +53,6 @@
 #                      noise-robust estimator on shared CI machines, where a
 #                      single interval can be off by ±35% from CPU steal
 #   MAX_REGRESSION_PCT allowed ratio loss in percent (default 20)
-#   MAX_WALK_GAP_PCT   allowed walkonly columnar-vs-slice gap on machines
-#                      with a full decode-ahead pipeline (default 5)
 #   MIN_BATCH_SPEEDUP  absolute floor for the batch-kernel walkonly
 #                      scalar/batch ratio (default 2.0)
 #   MIN_RECORD_SPEEDUP absolute floor for the scalar/fused recording ns/op
@@ -75,7 +69,6 @@ REPORT="${1:-BENCH_report.json}"
 BENCHTIME="${BENCHTIME:-1s}"
 BENCHCOUNT="${BENCHCOUNT:-5}"
 MAX_REGRESSION_PCT="${MAX_REGRESSION_PCT:-20}"
-MAX_WALK_GAP_PCT="${MAX_WALK_GAP_PCT:-5}"
 MIN_BATCH_SPEEDUP="${MIN_BATCH_SPEEDUP:-2.0}"
 MIN_RECORD_SPEEDUP="${MIN_RECORD_SPEEDUP:-1.3}"
 MAX_ALLOC_GROWTH_PCT="${MAX_ALLOC_GROWTH_PCT:-10}"
@@ -95,14 +88,6 @@ committed_allocs=$(grep -o '"name": "BenchmarkFigure51And52"[^}]*' "$REPORT" | g
 if [[ -z "$committed_multi" || -z "$committed_walk" || -z "$committed_spill" || -z "$committed_batch" || -z "$committed_record" || -z "$committed_overhead" || -z "$committed_allocs" ]]; then
     echo "bench_smoke: missing committed speedups in $REPORT (run scripts/bench.sh)" >&2
     exit 1
-fi
-
-# The committed ratios came from the machine described in the report's own
-# metadata; machine-conditional gates key off it, not off a re-probe of the
-# CI box (a v6 report without the section falls back to probing).
-NCPU=$(grep -o '"num_cpu": [0-9]*' "$REPORT" | head -1 | awk '{print $NF}')
-if [[ -z "$NCPU" ]]; then
-    NCPU=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
 fi
 
 RAW_MULTI="$(mktemp)"
@@ -139,7 +124,7 @@ END {
 
 # Gates 2–4: the columnar trace store.
 awk -v committed_walk="$committed_walk" -v committed_spill="$committed_spill" \
-    -v max="$MAX_REGRESSION_PCT" -v walkgap="$MAX_WALK_GAP_PCT" -v ncpu="$NCPU" '
+    -v max="$MAX_REGRESSION_PCT" '
 /^BenchmarkTraceStore\// {
     name = $1
     sub(/-[0-9]+$/, "", name)
@@ -179,16 +164,6 @@ END {
     if (walk < floor) {
         printf "bench_smoke: FAIL — columnar walk regressed more than %s%% vs the committed ratio\n", max > "/dev/stderr"
         exit 1
-    }
-    if (ncpu + 0 >= 7) {
-        target = 1 - walkgap / 100
-        printf "bench_smoke: %d CPUs — full decode-ahead pipeline, gating walkonly within %s%% of the slice walk\n", ncpu, walkgap
-        if (walk < target) {
-            printf "bench_smoke: FAIL — walkonly columnar replay %.3fx of the slice walk, below %.3f\n", walk, target > "/dev/stderr"
-            exit 1
-        }
-    } else {
-        printf "bench_smoke: %d CPUs — decode-ahead pipeline unavailable, absolute walkonly gate skipped\n", ncpu
     }
 
     # Gate 4: spill-mode replay overhead vs resident columnar.
